@@ -13,9 +13,6 @@ from .models import (
     GenerationTrace,
     default_probes,
     generate,
-    generate_base,
-    generate_hybrid,
-    generate_selfloop,
     pa_sample_contacts,
 )
 from .metrics import (
@@ -50,8 +47,7 @@ __all__ = [
     "SpherePoint", "angular_distance", "cap_area", "sample_uniform", "SPHERE_RADIUS",
     "CapIndex", "EdgeKind", "EvolvingGraph", "VertexRecord",
     "ModelConfig", "GenerationTrace", "default_probes",
-    "generate", "generate_base", "generate_hybrid", "generate_selfloop",
-    "pa_sample_contacts",
+    "generate", "pa_sample_contacts",
     "CommunityReport", "ConcentrationReport", "DegreeHistogram",
     "DiameterReport", "ExpanderScanReport", "PowerLawFit", "TreeStats",
     "analytic_fk", "community_check", "concentration_report",

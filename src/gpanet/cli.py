@@ -15,13 +15,9 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .graph import MODEL_NAMES, EdgeKind, KIND_NAMES
-from .harness import (ExperimentSpec, derive_parameters, run_experiment)
-from .metrics import (analytic_fk, community_check, concentration_report,
-                      degree_histogram, diameter, expander_scan,
-                      fit_power_law_exponent)
+from .harness import (ANALYSES, ExperimentSpec, derive_parameters,
+                      dump_json, run_experiment)
 from .models import ModelConfig, default_probes, generate
 
 
@@ -36,6 +32,10 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
                    help="when --r is omitted, use r = min(ln(n)^c0/sqrt(n), pi)")
     p.add_argument("--delta", type=int, default=None)
     p.add_argument("--seed", type=int, required=True)
+
+
+def _float_list(text: str) -> list[float] | None:
+    return [float(x) for x in text.split(",")] if text else None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -67,8 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("degrees", help="degree histogram, tail fit, law check")
     _add_graph_args(p)
     _add_common(p)
-    p.add_argument("--kmin", type=int, default=None,
-                   help="fit threshold (default: m)")
+    p.add_argument("--kmin", type=int, default=None, dest="k_min",
+                   metavar="KMIN", help="fit threshold (default: m)")
     p.add_argument("--kind", default="total")
 
     p = sub.add_parser("diameter", help="shortest-path diameter")
@@ -92,8 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expander", help="conductance scan over radii")
     _add_graph_args(p)
     _add_common(p)
-    p.add_argument("--radii", default=None,
-                   help="comma-separated radii (default: r,2r)")
+    p.add_argument("--radii", default=None, type=_float_list,
+                   help="comma-separated radii (default: r,min(2r,pi))")
     p.add_argument("--centers", type=int, default=100)
 
     p = sub.add_parser("concentration", help="cap occupancy vs expectation")
@@ -173,93 +173,42 @@ def _cmd_generate(args) -> int:
     if cps:
         trace.write_csv(out / "trace.csv")
         files.append("trace.csv")
-    (out / "config.json").write_text(
-        json.dumps(cfg.to_json_dict(), sort_keys=True, indent=2) + "\n")
+    dump_json(out / "config.json", cfg.to_json_dict())
     files.append("config.json")
     _emit({"out": str(out), "files": files, "n": g.n,
            "edges": int(g.edge_src.size)}, args.json)
     return 0
 
 
-def _cmd_degrees(args) -> int:
-    cfg = _config_from_args(args)
-    g, _ = generate(cfg)
-    h = degree_histogram(g, args.kind)
-    k_min = cfg.m if args.kmin is None else args.kmin
-    fit = fit_power_law_exponent(h, k_min)
-    ks, cs = h.as_arrays()
-    sel = ks >= cfg.m
-    emp = cs[sel] / cs[sel].sum()
-    l1 = float(np.abs(emp - analytic_fk(ks[sel], cfg.m, cfg.xi, cfg.delta)).sum())
-    payload = {"config": cfg.to_json_dict(), "kind": args.kind,
-               "k_min": int(k_min), "exponent": fit.exponent,
-               "stderr": fit.stderr, "tail_count": fit.tail_count,
-               "expected_exponent": 3.0 + cfg.xi, "fk_l1_distance": l1,
-               "max_degree": int(ks.max())}
+def _cmd_analysis(args) -> int:
+    """Grow the graph, run the harness analysis named by the subcommand, emit.
+
+    Each option of the analysis is read from the flag of the same dest; a
+    flag left at None leaves the analysis default in place.  With an output
+    directory, a CSV side table goes to <command>.csv and the occupancy
+    trace, when the config has checkpoints, to trace.csv.
+    """
+    if args.command == "concentration":
+        cfg = _config_from_args(args, default_probes(args.probes),
+                                _parse_times(args.checkpoints, args.n))
+    else:
+        cfg = _config_from_args(args)
+    opts = {k: getattr(args, k) for k in ANALYSES[args.command].options
+            if getattr(args, k) is not None}
+    g, trace = generate(cfg)
     out = _default_out(args)
-    if out is not None:
+
+    def save(table, name=f"{args.command}.csv"):
+        if out is None:
+            return None
         out.mkdir(parents=True, exist_ok=True)
-        h.write_csv(out / "degrees.csv")
-        payload["histogram_csv"] = str(out / "degrees.csv")
-    _emit(payload, args.json)
-    return 0
+        table.write_csv(out / name)
+        return str(out / name)
 
-
-def _cmd_diameter(args) -> int:
-    cfg = _config_from_args(args)
-    g, _ = generate(cfg)
-    rep = diameter(g, args.mode, args.method)
-    payload = rep.to_json_dict()
+    payload = ANALYSES[args.command].run(g, trace, cfg, opts, save)
+    if out is not None and cfg.checkpoint_times:
+        payload["trace_csv"] = save(trace, "trace.csv")
     payload["config"] = cfg.to_json_dict()
-    _emit(payload, args.json)
-    return 0
-
-
-def _cmd_communities(args) -> int:
-    cfg = _config_from_args(args)
-    g, _ = generate(cfg)
-    R = 2.0 * cfg.r if args.R is None else args.R
-    size_cap = float(cfg.n) if args.size_cap is None else args.size_cap
-    k = min(args.centers, cfg.n)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 101]))
-    centers = np.sort(rng.choice(cfg.n, size=k, replace=False))
-    reports = [community_check(g, int(v), R, args.alpha, args.beta,
-                               size_cap).to_json_dict() for v in centers]
-    payload = {"config": cfg.to_json_dict(), "R": R, "alpha": args.alpha,
-               "beta": args.beta, "size_cap": size_cap,
-               "n_checked": len(reports),
-               "n_satisfying": sum(r["satisfies"] for r in reports),
-               "reports": reports}
-    _emit(payload, args.json)
-    return 0
-
-
-def _cmd_expander(args) -> int:
-    cfg = _config_from_args(args)
-    g, _ = generate(cfg)
-    radii = ([float(x) for x in args.radii.split(",")] if args.radii
-             else [cfg.r, min(2.0 * cfg.r, math.pi)])
-    k = min(args.centers, cfg.n)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 202]))
-    centers = np.sort(rng.choice(cfg.n, size=k, replace=False))
-    payload = expander_scan(g, centers, radii).to_json_dict()
-    payload["config"] = cfg.to_json_dict()
-    _emit(payload, args.json)
-    return 0
-
-
-def _cmd_concentration(args) -> int:
-    cps = _parse_times(args.checkpoints, args.n)
-    cfg = _config_from_args(args, default_probes(args.probes), cps)
-    _, trace = generate(cfg)
-    rep = concentration_report(trace, cfg, args.t_r)
-    payload = rep.to_json_dict()
-    payload["config"] = cfg.to_json_dict()
-    out = _default_out(args)
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        trace.write_csv(out / "trace.csv")
-        payload["trace_csv"] = str(out / "trace.csv")
     _emit(payload, args.json)
     return 0
 
@@ -280,14 +229,10 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+# every other subcommand runs the harness analysis of the same name
 _HANDLERS = {
     "params": _cmd_params,
     "generate": _cmd_generate,
-    "degrees": _cmd_degrees,
-    "diameter": _cmd_diameter,
-    "communities": _cmd_communities,
-    "expander": _cmd_expander,
-    "concentration": _cmd_concentration,
     "experiment": _cmd_experiment,
 }
 
@@ -299,7 +244,7 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        return _HANDLERS.get(args.command, _cmd_analysis)(args)
     except (ValueError, OSError) as exc:
         if getattr(args, "json", False):
             print(json.dumps({"error": str(exc), "command": args.command}))

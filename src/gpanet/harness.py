@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -19,10 +21,6 @@ from .metrics import (DegreeHistogram, analytic_fk, community_check,
                       concentration_report, degree_histogram, diameter,
                       expander_scan, fit_power_law_exponent, urt_stats)
 from .models import ModelConfig, generate
-
-ANALYSES = ("degrees", "diameter", "communities", "expander",
-            "concentration", "tree")
-
 
 @dataclass(frozen=True)
 class DerivedParameters:
@@ -117,7 +115,8 @@ class ExperimentSpec:
 
     The template's own seed is ignored; each trial replaces it with an
     entry from `seeds`.  `options` carries per-analysis knobs (plain JSON
-    scalars) such as {"degrees": {"k_min": 4}}.
+    scalars) such as {"degrees": {"k_min": 4}}; each analysis accepts only
+    the keys its ANALYSES entry names.
     """
 
     config: ModelConfig
@@ -142,9 +141,14 @@ class ExperimentSpec:
         if unknown:
             raise ValueError(f"unknown analyses {unknown}; "
                              f"choose from {list(ANALYSES)}")
-        unknown = [k for k in self.options if k not in ANALYSES]
-        if unknown:
-            raise ValueError(f"options for unknown analyses {unknown}")
+        for name, opts in self.options.items():
+            if name not in ANALYSES:
+                raise ValueError(f"options for unknown analysis {name!r}")
+            accepted = ANALYSES[name].options
+            unknown = sorted(k for k in opts if k not in accepted)
+            if unknown:
+                raise ValueError(f"unknown {name} options {unknown}; "
+                                 f"{name} accepts {list(accepted)}")
 
     @classmethod
     def from_master(cls, config: ModelConfig, master_seed: int, trials: int,
@@ -179,12 +183,18 @@ class ExperimentSpec:
                    out_dir=d["out_dir"], options=dict(d.get("options", {})))
 
 
-def _dump_json(path: Path, obj) -> None:
+def dump_json(path: Path, obj) -> None:
+    """The artifact JSON format: sorted keys, two-space indent, final newline."""
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _degrees_report(h: DegreeHistogram, cfg: ModelConfig, opts: dict) -> dict:
-    kind = h.kind
+def _degrees(g, trace, cfg: ModelConfig, opts: dict, save) -> dict:
+    """Degree histogram, power-law tail fit at k_min and L1 distance to f_k.
+
+    The histogram goes to save before the fit, so it survives a fit error.
+    """
+    h = degree_histogram(g, opts.get("kind", "total"))
+    csv = save(h)
     k_min = int(opts.get("k_min", cfg.m))
     fit = fit_power_law_exponent(h, k_min)
     ks, cs = h.as_arrays()
@@ -192,24 +202,35 @@ def _degrees_report(h: DegreeHistogram, cfg: ModelConfig, opts: dict) -> dict:
     emp = cs[sel] / cs[sel].sum()
     l1 = float(np.abs(emp - analytic_fk(ks[sel], cfg.m, cfg.xi, cfg.delta)).sum())
     report = {
-        "kind": kind, "k_min": k_min,
+        "kind": h.kind, "k_min": k_min,
         "exponent": fit.exponent, "stderr": fit.stderr,
         "tail_count": fit.tail_count,
         "expected_exponent": 3.0 + cfg.xi,
         "fk_l1_distance": l1,
         "max_degree": int(ks.max()),
     }
+    if csv is not None:
+        report["histogram_csv"] = csv
     return report
 
 
-def _communities_report(g, cfg: ModelConfig, opts: dict, seed: int) -> dict:
+def _diameter(g, trace, cfg: ModelConfig, opts: dict, save) -> dict:
+    return diameter(g, opts.get("mode", "component-wise"),
+                    opts.get("method")).to_json_dict()
+
+
+def _centers(cfg: ModelConfig, k, salt: int) -> np.ndarray:
+    """min(k, n) distinct vertex ids, sorted, from the stream (cfg.seed, salt)."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, salt]))
+    return np.sort(rng.choice(cfg.n, size=min(int(k), cfg.n), replace=False))
+
+
+def _communities(g, trace, cfg: ModelConfig, opts: dict, save) -> dict:
     R = float(opts.get("R", 2.0 * cfg.r))
     alpha = float(opts.get("alpha", 1.0))
     beta = float(opts.get("beta", 0.25))
     size_cap = float(opts.get("size_cap", cfg.n))
-    k = min(int(opts.get("centers", 50)), cfg.n)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
-    centers = np.sort(rng.choice(cfg.n, size=k, replace=False))
+    centers = _centers(cfg, opts.get("centers", 50), 101)
     reports = [community_check(g, int(v), R, alpha, beta, size_cap).to_json_dict()
                for v in centers]
     return {
@@ -220,12 +241,48 @@ def _communities_report(g, cfg: ModelConfig, opts: dict, seed: int) -> dict:
     }
 
 
-def _expander_report(g, cfg: ModelConfig, opts: dict, seed: int) -> dict:
-    radii = [float(x) for x in opts.get("radii", (cfg.r, 2.0 * cfg.r))]
-    k = min(int(opts.get("centers", 100)), cfg.n)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 202]))
-    centers = np.sort(rng.choice(cfg.n, size=k, replace=False))
+def _expander(g, trace, cfg: ModelConfig, opts: dict, save) -> dict:
+    radii = opts.get("radii", (cfg.r, min(2.0 * cfg.r, math.pi)))
+    centers = _centers(cfg, opts.get("centers", 100), 202)
     return expander_scan(g, centers, radii).to_json_dict()
+
+
+def _concentration(g, trace, cfg: ModelConfig, opts: dict, save) -> dict:
+    return concentration_report(trace, cfg, opts.get("t_r")).to_json_dict()
+
+
+def _tree(g, trace, cfg: ModelConfig, opts: dict, save) -> dict:
+    stats = urt_stats(g)
+    return {"diameter": stats.diameter, "max_degree": stats.max_degree,
+            "log2_n": math.log2(cfg.n) if cfg.n > 1 else 0.0}
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """One analysis of a grown graph, as run by run_experiment and the CLI.
+
+    run(g, trace, cfg, opts, save) returns the JSON payload.  opts holds
+    keys from `options` only; a missing key takes its default.  Centre
+    sampling is salted with cfg.seed.  An analysis with a CSV side table
+    passes it to save(table), which writes it and returns the reference to
+    record in the payload, or None to record none.
+    """
+
+    run: Callable[..., dict]
+    options: tuple[str, ...] = ()
+
+
+# The run functions look the metrics up as module globals at call time, so
+# a wrapper installed on this module's globals sees every call.
+ANALYSES = {
+    "degrees": Analysis(_degrees, ("kind", "k_min")),
+    "diameter": Analysis(_diameter, ("mode", "method")),
+    "communities": Analysis(_communities,
+                            ("R", "alpha", "beta", "size_cap", "centers")),
+    "expander": Analysis(_expander, ("radii", "centers")),
+    "concentration": Analysis(_concentration, ("t_r",)),
+    "tree": Analysis(_tree),
+}
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
@@ -247,13 +304,12 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         "artifacts": [],
         "errors": [],
     }
-    pooled_counts: dict[int, int] = {}
+    pooled_counts: Counter = Counter()
     fits = []
 
     def emit(name: str, payload: dict, cfg: ModelConfig) -> None:
-        payload = dict(payload)
         payload["config"] = cfg.to_json_dict()
-        _dump_json(out / name, payload)
+        dump_json(out / name, payload)
         index["artifacts"].append(name)
 
     for seed in spec.seeds:
@@ -262,59 +318,36 @@ def run_experiment(spec: ExperimentSpec) -> dict:
             g, trace = generate(cfg)
         except Exception as exc:
             index["errors"].append({"seed": seed, "analysis": "generate",
-                                    "error": str(exc)})
+                                    "error": str(exc),
+                                    "type": type(exc).__name__})
             continue
         for analysis in spec.analyses:
-            opts = spec.options.get(analysis, {})
+            tables = []
+
+            def save(table, csv_name=f"{analysis}_seed{seed}.csv"):
+                table.write_csv(out / csv_name)
+                index["artifacts"].append(csv_name)
+                tables.append(table)
+                return csv_name
+
             try:
-                if analysis == "degrees":
-                    h = degree_histogram(g, opts.get("kind", "total"))
-                    csv_name = f"degrees_seed{seed}.csv"
-                    h.write_csv(out / csv_name)
-                    index["artifacts"].append(csv_name)
-                    rep = _degrees_report(h, cfg, opts)
-                    rep["histogram_csv"] = csv_name
-                    emit(f"degrees_seed{seed}.json", rep, cfg)
-                    fits.append({"seed": seed, "exponent": rep["exponent"],
-                                 "stderr": rep["stderr"]})
-                    for k, c in h.counts.items():
-                        pooled_counts[k] = pooled_counts.get(k, 0) + c
-                elif analysis == "diameter":
-                    mode = opts.get("mode", "component-wise")
-                    rep = diameter(g, mode, opts.get("method"))
-                    emit(f"diameter_seed{seed}.json", rep.to_json_dict(), cfg)
-                elif analysis == "communities":
-                    emit(f"communities_seed{seed}.json",
-                         _communities_report(g, cfg, opts, seed), cfg)
-                elif analysis == "expander":
-                    emit(f"expander_seed{seed}.json",
-                         _expander_report(g, cfg, opts, seed), cfg)
-                elif analysis == "concentration":
-                    if not cfg.checkpoint_times:
-                        raise ValueError(
-                            "concentration analysis needs checkpoint_times "
-                            "in the config")
-                    t_r = opts.get("t_r")
-                    rep = concentration_report(
-                        trace, cfg, None if t_r is None else float(t_r))
-                    emit(f"concentration_seed{seed}.json",
-                         rep.to_json_dict(), cfg)
-                elif analysis == "tree":
-                    stats = urt_stats(g)
-                    emit(f"tree_seed{seed}.json",
-                         {"diameter": stats.diameter,
-                          "max_degree": stats.max_degree,
-                          "log2_n": math.log2(cfg.n) if cfg.n > 1 else 0.0},
-                         cfg)
+                rep = ANALYSES[analysis].run(
+                    g, trace, cfg, spec.options.get(analysis, {}), save)
+                emit(f"{analysis}_seed{seed}.json", rep, cfg)
             except Exception as exc:
                 index["errors"].append({"seed": seed, "analysis": analysis,
-                                        "error": str(exc)})
+                                        "error": str(exc),
+                                        "type": type(exc).__name__})
+                continue
+            if analysis == "degrees":
+                fits.append({"seed": seed, "exponent": rep["exponent"],
+                             "stderr": rep["stderr"]})
+                k_min = rep["k_min"]
+                pooled_counts.update(tables[0].counts)
 
     if fits:
-        pooled = DegreeHistogram(counts=pooled_counts, kind="total",
+        pooled = DegreeHistogram(counts=dict(pooled_counts), kind="total",
                                  n=sum(pooled_counts.values()))
-        k_min = int(spec.options.get("degrees", {}).get("k_min",
-                                                        spec.config.m))
         summary: dict = {"per_seed": fits, "expected_exponent":
                          3.0 + spec.config.xi, "k_min": k_min}
         try:
@@ -327,5 +360,5 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         emit("degrees_summary.json", summary, spec.config)
 
     index["artifacts"].sort()
-    _dump_json(out / "index.json", index)
+    dump_json(out / "index.json", index)
     return index

@@ -163,10 +163,13 @@ def pa_sample_contacts(g: EvolvingGraph, idx: CapIndex, x, m: int, delta: int,
     cand = idx.query_cap(x, r)
     if cand.size == 0:
         raise ValueError("empty candidate set: no vertex within r of x")
-    weights = g.degree(None, kind)[cand] + int(delta)
+    return cand[_draw(g.degree(None, kind)[cand] + int(delta), int(m), rng)]
+
+
+def _draw(weights: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m i.i.d. indices into weights, index i with probability w_i / sum(w)."""
     cum = np.cumsum(weights, dtype=np.int64)
-    picks = np.searchsorted(cum, rng.random(int(m)) * cum[-1], side="right")
-    return cand[picks]
+    return np.searchsorted(cum, rng.random(m) * cum[-1], side="right")
 
 
 def _auto_cell(r: float, n: int) -> float:
@@ -175,7 +178,8 @@ def _auto_cell(r: float, n: int) -> float:
     return max(min(r if r > 0 else 0.01, 20.0 / np.sqrt(max(n, 16))), 0.008)
 
 
-def _run(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
+def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
+    """Grow the model named by cfg.model; return the graph and its trace."""
     n, m, delta, r = cfg.n, cfg.m, cfg.delta, cfg.r
     model = cfg.model
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
@@ -225,10 +229,7 @@ def _run(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
                 iso_in_cap |= probes @ p >= cos_r
             inc = 2 * m
         else:
-            weights = plain[cand] + delta
-            cum = np.cumsum(weights)
-            picks = np.searchsorted(cum, rng.random(m) * cum[-1], side="right")
-            contacts = cand[picks]
+            contacts = cand[_draw(plain[cand] + delta, m, rng)]
             src[ne:ne + m] = t
             dst[ne:ne + m] = contacts
             kind[ne:ne + m] = EdgeKind.PLAIN
@@ -302,26 +303,3 @@ def _run(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
     trace = GenerationTrace(probe_points=probes, times=times, occupancy=occ,
                             attach_mass=mass, isolated_in_cap=iso_in_cap)
     return g, trace
-
-
-def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
-    """Run the model named by cfg.model."""
-    return _run(cfg)
-
-
-def generate_base(cfg: ModelConfig):
-    if cfg.model != "base":
-        raise ValueError("config is not for the base model")
-    return _run(cfg)
-
-
-def generate_hybrid(cfg: ModelConfig):
-    if cfg.model != "hybrid":
-        raise ValueError("config is not for the hybrid model")
-    return _run(cfg)
-
-
-def generate_selfloop(cfg: ModelConfig):
-    if cfg.model != "selfloop":
-        raise ValueError("config is not for the self-loop model")
-    return _run(cfg)

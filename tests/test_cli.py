@@ -1,10 +1,11 @@
 import json
+import math
 
 import pytest
 
 from gpanet.cli import cli_main
-from gpanet.harness import ExperimentSpec
-from gpanet.models import ModelConfig
+from gpanet.harness import ExperimentSpec, run_experiment
+from gpanet.models import ModelConfig, default_probes
 
 
 def run(capsys, *argv):
@@ -156,6 +157,55 @@ class TestExperimentCommand:
         code, _, err = run(capsys, "experiment", "--spec",
                            str(tmp_path / "nope.json"))
         assert code == 1
+
+
+class TestHarnessParity:
+    """Each analysis subcommand prints what run_experiment writes."""
+
+    FLAGS = ["--model", "hybrid", "--n", "300", "--m", "2", "--xi", "1",
+             "--r", "0.5", "--seed", "12"]
+
+    @pytest.fixture(scope="class")
+    def artifacts(self, tmp_path_factory):
+        cfg = ModelConfig(model="hybrid", n=300, m=2, xi=1.0, r=0.5, seed=0)
+        traced = ModelConfig(model="hybrid", n=300, m=2, xi=1.0, r=0.5,
+                             seed=0, probes=default_probes(2),
+                             checkpoint_times=(75, 150, 225, 300))
+        out = tmp_path_factory.mktemp("parity")
+        # the subcommand defaults: diameter is exact, concentration traces
+        # two probes at the quartiles of n
+        run_experiment(ExperimentSpec(
+            cfg, (12,), ("degrees", "diameter", "communities", "expander"),
+            str(out), options={"diameter": {"mode": "exact"}}))
+        run_experiment(ExperimentSpec(traced, (12,), ("concentration",),
+                                      str(out)))
+        return out
+
+    @pytest.mark.parametrize("name", ["degrees", "diameter", "communities",
+                                      "expander", "concentration"])
+    def test_payload_equals_artifact(self, capsys, monkeypatch, artifacts,
+                                     name):
+        monkeypatch.delenv("GPANET_OUT", raising=False)
+        extra = ["--probes", "2"] if name == "concentration" else []
+        code, out, _ = run(capsys, name, *self.FLAGS, *extra, "--json")
+        assert code == 0
+        want = json.loads((artifacts / f"{name}_seed12.json").read_text())
+        want.pop("histogram_csv", None)
+        assert json.loads(out) == want
+
+    def test_expander_default_radii_stay_in_domain(self, capsys, monkeypatch,
+                                                   tmp_path):
+        monkeypatch.delenv("GPANET_OUT", raising=False)
+        code, out, _ = run(capsys, "expander", "--model", "base", "--n", "60",
+                           "--m", "2", "--xi", "1", "--r", "2.0", "--seed",
+                           "4", "--centers", "5", "--json")
+        assert code == 0
+        cli = json.loads(out)
+        cfg = ModelConfig(model="base", n=60, m=2, xi=1.0, r=2.0, seed=0)
+        run_experiment(ExperimentSpec(cfg, (4,), ("expander",), str(tmp_path),
+                                      options={"expander": {"centers": 5}}))
+        harness = json.loads((tmp_path / "expander_seed4.json").read_text())
+        assert cli["radii"] == harness["radii"] == [2.0, math.pi]
 
 
 class TestUsageErrors:

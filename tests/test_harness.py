@@ -111,6 +111,15 @@ class TestExperimentSpec:
             ExperimentSpec(cfg, (1,), ("degrees",), "out",
                            options={"entropy": {}})
 
+    def test_option_keys_checked(self):
+        # a misspelt key used to be ignored, fitting at k_min = m
+        with pytest.raises(ValueError, match=r"unknown degrees options \['kmin'\]"):
+            ExperimentSpec(tiny_config(), (1,), ("degrees",), "out",
+                           options={"degrees": {"kmin": 100}})
+        ExperimentSpec(tiny_config(), (1,), ("degrees", "diameter"), "out",
+                       options={"degrees": {"kind": "local", "k_min": 10},
+                                "diameter": {"mode": "exact"}})
+
     def test_from_master_is_prefix_stable(self):
         cfg = tiny_config()
         s3 = ExperimentSpec.from_master(cfg, 42, 3, ("degrees",), "out")
@@ -175,6 +184,7 @@ class TestRunExperiment:
         index = run_experiment(spec)
         assert len(index["errors"]) == 1
         assert index["errors"][0]["analysis"] == "tree"
+        assert index["errors"][0]["type"] == "ValueError"
         assert (tmp_path / "degrees_seed3.json").exists()
         assert not (tmp_path / "tree_seed3.json").exists()
 

@@ -7,9 +7,7 @@ from scipy import stats
 from gpanet.capindex import DOT_TOL, CapIndex
 from gpanet.graph import EdgeKind, EvolvingGraph
 from gpanet.models import (DEFAULT_PROBE_SEED, GenerationTrace, ModelConfig,
-                           default_probes, generate, generate_base,
-                           generate_hybrid, generate_selfloop,
-                           pa_sample_contacts)
+                           default_probes, generate, pa_sample_contacts)
 from gpanet.sphere import angular_distance, sample_uniform
 
 from oracles import cap_members_scan
@@ -117,14 +115,6 @@ class TestDeterminism:
         g1, _ = generate(cfg(seed=1))
         g2, _ = generate(cfg(seed=2))
         assert not np.array_equal(g1.positions, g2.positions)
-
-    def test_dispatchers_check_model(self):
-        with pytest.raises(ValueError):
-            generate_base(cfg(model="hybrid"))
-        with pytest.raises(ValueError):
-            generate_hybrid(cfg(model="base"))
-        with pytest.raises(ValueError):
-            generate_selfloop(cfg(model="base"))
 
 
 class TestSmallContracts:
