@@ -166,45 +166,66 @@ def _sssp(csr, source: int) -> np.ndarray:
 
 
 def _diameter_bfs_all(csr) -> int:
-    """Exact diameter by BFS from every vertex, 64 sources per pass.
+    """Exact diameter by bit-parallel BFS, 64 sources per pass.
 
     Frontier and visited sets carry one bit per source lane, so each level
     is a single gather + or-reduce over the edge array shared by 64 BFS
-    runs at once.
+    runs at once.  Each pass also yields its sources' eccentricities, and
+    ecc(w) <= ecc(v) + d(v, w) bounds every other vertex w.  A vertex whose
+    bound is at most the largest eccentricity found cannot raise it, so it
+    is never made a source.  Sources go by decreasing degree: hubs have
+    small eccentricities, so their bounds rule out the most vertices.
     """
     n = csr.shape[0]
     if n <= 1:
         return 0
     indptr = csr.indptr.astype(np.int64)
     indices = csr.indices.astype(np.int64)
-    if (np.diff(indptr) == 0).any():
+    deg = np.diff(indptr)
+    if (deg == 0).any():
         raise ValueError("component not connected")
+    order = np.argsort(-deg, kind="stable")
+    bound = np.full(n, 2 * n, dtype=np.int64)   # upper bounds on eccentricity
     best = 0
     gathered = np.empty(indices.size, dtype=np.uint64)
     red_idx = indptr[:-1]
-    first = True
-    for lo in range(0, n, 64):
-        k = min(64, n - lo)
+    while True:
+        src = order[bound[order] > best][:64]
+        if src.size == 0:
+            return best
+        lanes = np.uint64(1) << np.arange(src.size, dtype=np.uint64)
         visited = np.zeros(n, dtype=np.uint64)
-        visited[lo:lo + k] = np.uint64(1) << np.arange(k, dtype=np.uint64)
+        visited[src] = lanes
         frontier = visited.copy()
+        ecc = np.zeros(src.size, dtype=np.int64)
         level = 0
         while True:
             np.take(frontier, indices, out=gathered)
             nxt = np.bitwise_or.reduceat(gathered, red_idx)
             nxt &= ~visited
-            if not nxt.any():
+            reached = np.bitwise_or.reduce(nxt)
+            if not reached:
                 break
             level += 1
+            ecc[(lanes & reached) != 0] = level
             visited |= nxt
             frontier = nxt
-        if first:
-            # connectivity is lane-independent; checking one batch suffices
-            if not (visited == np.uint64((1 << k) - 1)).all():
-                raise ValueError("component not connected")
-            first = False
         best = max(best, level)
-    return best
+        _lower_ecc_bounds(csr, bound, src, ecc)
+        if bound.max() == 2 * n:   # some vertex is out of every source's reach
+            raise ValueError("component not connected")
+
+
+def _lower_ecc_bounds(csr, bound, src, ecc) -> None:
+    """Set bound[w] = min(bound[w], ecc[i] + d(src[i], w)) for every w."""
+    changed = src[ecc < bound[src]]
+    bound[src] = np.minimum(bound[src], ecc)
+    while changed.size:
+        rows = csr[changed]
+        nbrs = rows.indices
+        before = bound[nbrs]
+        np.minimum.at(bound, nbrs, np.repeat(bound[changed] + 1, np.diff(rows.indptr)))
+        changed = np.unique(nbrs[bound[nbrs] < before])
 
 
 def _diameter_prune(csr, bail_at: int | None = None) -> int | None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import shortest_path
 
 from gpanet.graph import EdgeKind, EvolvingGraph
 from gpanet.metrics import (FLAG_ALL, FLAG_LOOP_ONLY, FLAG_OK,
@@ -241,6 +242,22 @@ class TestDiameter:
             want = diameter_scan(adj_lists(g), range(g.n))
             assert diameter(g, method="bfs-all").diameter == want
             assert diameter(g, method="double-sweep-prune").diameter == want
+
+    @pytest.mark.parametrize("model", ["base", "hybrid", "selfloop"])
+    def test_bfs_all_matches_all_pairs_on_generated_graphs(self, model):
+        # big enough that eccentricity bounds rule out most BFS sources
+        g, _ = generate(ModelConfig(model=model, n=1500, m=2, xi=1.0, r=0.3,
+                                    seed=5))
+        dist = shortest_path(g.adjacency_csr, directed=False, unweighted=True)
+        want = int(dist[np.isfinite(dist)].max())
+        rep = diameter(g, "component-wise", method="bfs-all")
+        assert rep.diameter == want
+
+    def test_bfs_all_on_cycle(self):
+        # every eccentricity equals the diameter, so no source is ruled out
+        n = 301
+        g = make_graph(np.arange(n), (np.arange(n) + 1) % n, n=n)
+        assert diameter(g, method="bfs-all").diameter == n // 2
 
     def test_exact_requires_connected(self):
         g = make_graph([0, 2], [1, 3], n=4)
