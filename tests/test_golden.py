@@ -56,6 +56,11 @@ def generate_digests(model: str, n: int, tmp: Path) -> dict:
     return dir_digests(tmp)
 
 
+def generate_stdout(model: str, *extra) -> bytes:
+    return cli_stdout(["generate", "--model", model, "--n", "2000", "--m", "2",
+                       "--xi", "1", "--r", "0.3", "--seed", "7", *extra])
+
+
 def analysis_digest(name: str, as_json: bool) -> str:
     argv = ANALYSIS_ARGV[name] + (["--json"] if as_json else [])
     return sha(cli_stdout(argv))
@@ -124,6 +129,10 @@ GENERATE = {('base', 1): {'config.json': '6edfec36a616a94f0fc80edeb06439d1bb69a1
                       'edges.csv': '0a834c1e9c8cea38a038558fa3de018f151db8ed35fd017fee6da8e643bde223',
                       'trace.csv': 'bce548619cb250c957103df8606e7c85e3f39df62efdba23218bb2f2fc9ff3e6',
                       'vertices.csv': '4b61329689b5f40a2e80ae70aa46cb83fb88b5a10b5aacb09b540ebd01d0de00'}}
+# generate without --out prints edges.csv; n=2000, m=2, r=0.3, seed=7
+GENERATE_STDOUT = {'base': 'bb2b7efc5cc87f1c900232d47b4920e1809bb1b26d7cb4d18a4f51ebe6c1059b',
+                   'hybrid': '228a7d5e1fe6b74c1ebc8e72f39b09e8934f506868c39d8bbefdf3bdd24bec5d',
+                   'selfloop': '0a834c1e9c8cea38a038558fa3de018f151db8ed35fd017fee6da8e643bde223'}
 ANALYSIS = {('communities', False): '06c201bd1315b5bbb1137dc737864417e7ecf629d47d2ae0735aecdd6ce351ce',
  ('communities', True): 'e7a604e7df57bbf926224cc32e15110b3fb658dd1b0908bab04e98bca5d9d3e5',
  ('concentration', False): '91af47e42dd590b30b79d8b187c550fd7ba546b84c2853e068a6ce6e1ef6c2f4',
@@ -163,6 +172,14 @@ def test_generate_outputs(model, n, tmp_path):
     assert generate_digests(model, n, tmp_path) == GENERATE[(model, n)]
 
 
+@pytest.mark.parametrize("model", MODELS)
+def test_generate_stdout(model, tmp_path):
+    out = generate_stdout(model)
+    assert sha(out) == GENERATE_STDOUT[model]
+    generate_stdout(model, "--out", str(tmp_path))
+    assert out == (tmp_path / "edges.csv").read_bytes()
+
+
 @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
 @pytest.mark.parametrize("name", sorted(ANALYSIS_ARGV))
 def test_analysis_stdout(name, as_json):
@@ -182,6 +199,7 @@ if __name__ == "__main__":
         tables = {
             "GENERATE": {(model, n): generate_digests(model, n, Path(d) / f"{model}{n}")
                          for model in MODELS for n in GENERATE_SIZES},
+            "GENERATE_STDOUT": {model: sha(generate_stdout(model)) for model in MODELS},
             "ANALYSIS": {(name, as_json): analysis_digest(name, as_json)
                          for name in sorted(ANALYSIS_ARGV) for as_json in (True, False)},
             "EXPERIMENT": experiment_digests(Path(d) / "experiment"),
