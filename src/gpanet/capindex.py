@@ -11,8 +11,6 @@ provable superset and the filter makes the result exact.
 
 from __future__ import annotations
 
-from array import array
-
 import numpy as np
 
 from .sphere import as_unit_vectors, _check_radius
@@ -22,36 +20,43 @@ DOT_TOL = 1e-12
 _PAD = 2e-6
 
 
-class _GridLayout:
-    """Band/cell geometry shared by the incremental and static indexes."""
+class _StaticCapQuery:
+    """Cap queries over a fixed point set, filtered by birth order.
 
-    def __init__(self, cell_angle: float):
+    The generators use it directly: all positions are known up front, so
+    rows are grouped by cell once (a stable sort keeps each group ascending
+    in row id) and a query at time t is a handful of slice gathers plus a
+    rows < t mask.
+    """
+
+    def __init__(self, points: np.ndarray, cell_angle: float):
         cell_angle = float(cell_angle)
         if not np.isfinite(cell_angle) or cell_angle <= 0.0:
             raise ValueError(f"cell_angle must be positive, got {cell_angle!r}")
         self.cell_angle = cell_angle
-        self.nbands = int(np.clip(np.ceil(np.pi / cell_angle), 1, 4096))
-        self.band_h = np.pi / self.nbands
-        mids = (np.arange(self.nbands) + 0.5) * self.band_h
-        self.ncells = np.maximum(
-            1, np.ceil(2.0 * np.pi * np.sin(mids) / self.band_h).astype(np.int64)
+        self._pts = points
+        self._nbands = int(np.clip(np.ceil(np.pi / cell_angle), 1, 4096))
+        self._band_h = np.pi / self._nbands
+        mids = (np.arange(self._nbands) + 0.5) * self._band_h
+        self._ncells = np.maximum(
+            1, np.ceil(2.0 * np.pi * np.sin(mids) / self._band_h).astype(np.int64)
         )
-        self.cell_w = 2.0 * np.pi / self.ncells
-        self.band_off = np.concatenate([[0], np.cumsum(self.ncells)])
-        self.nslots = int(self.band_off[-1])
+        self._cell_w = 2.0 * np.pi / self._ncells
+        self._band_off = np.concatenate([[0], np.cumsum(self._ncells)])
 
-    def slot_of_many(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized cell-slot assignment for an (n, 3) array."""
-        theta = np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
-        band = np.minimum((theta / self.band_h).astype(np.int64), self.nbands - 1)
-        phi = np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * np.pi)
-        cell = np.minimum((phi / self.cell_w[band]).astype(np.int64), self.ncells[band] - 1)
-        return self.band_off[band] + cell
+        theta = np.arccos(np.clip(points[:, 2], -1.0, 1.0))
+        band = np.minimum((theta / self._band_h).astype(np.int64), self._nbands - 1)
+        phi = np.arctan2(points[:, 1], points[:, 0]) % (2.0 * np.pi)
+        cell = np.minimum((phi / self._cell_w[band]).astype(np.int64), self._ncells[band] - 1)
+        slots = self._band_off[band] + cell
+        self._order = np.argsort(slots, kind="stable")
+        counts = np.bincount(slots, minlength=int(self._band_off[-1]))
+        self._start = np.concatenate([[0], np.cumsum(counts)])
 
-    def covered_ranges(self, center: np.ndarray, R: float) -> list[tuple[int, int]]:
+    def _covered_ranges(self, center: np.ndarray, R: float) -> list[tuple[int, int]]:
         """Half-open slot ranges that jointly cover the cap (center, R).
 
-        Conservative: every stored point within R of center lies in one of
+        Conservative: every point within R of center lies in one of
         the returned slots.  Within a band the cap covers the longitude
         window |dphi| <= arccos(g(theta)) where
             g(theta) = (cos R - cos theta_c cos theta) / (sin theta_c sin theta),
@@ -61,14 +66,14 @@ class _GridLayout:
         theta_c = float(np.arccos(min(1.0, max(-1.0, center[2]))))
         phi_c = float(np.arctan2(center[1], center[0])) % (2.0 * np.pi)
         rp = min(R + _PAD, np.pi)
-        h = self.band_h
+        h = self._band_h
         b0 = max(0, int((theta_c - rp) / h))
-        b1 = min(self.nbands - 1, int((theta_c + rp) / h))
+        b1 = min(self._nbands - 1, int((theta_c + rp) / h))
         bands = np.arange(b0, b1 + 1)
         lo = np.maximum(bands * h, theta_c - rp)
         hi = np.minimum((bands + 1) * h, theta_c + rp)
-        ncb = self.ncells[b0:b1 + 1]
-        off = self.band_off[b0:b1 + 1]
+        ncb = self._ncells[b0:b1 + 1]
+        off = self._band_off[b0:b1 + 1]
         sin_c, cos_c = np.sin(theta_c), np.cos(theta_c)
         cos_rp = np.cos(rp)
 
@@ -94,7 +99,7 @@ class _GridLayout:
         # so the window arithmetic below stays warning-free
         gmin = np.where(whole, -1.0, gmin)
         dphi = np.arccos(np.clip(gmin, -1.0, 1.0))
-        w = self.cell_w[b0:b1 + 1]
+        w = self._cell_w[b0:b1 + 1]
         j0 = np.floor((phi_c - dphi) / w).astype(np.int64)
         j1 = np.floor((phi_c + dphi) / w).astype(np.int64)
         whole |= j1 - j0 + 1 >= ncb
@@ -117,126 +122,12 @@ class _GridLayout:
         return ranges
 
 
-class CapIndex:
-    """Incremental point store supporting exact closed-cap membership queries.
-
-    Parameters
-    ----------
-    cell_angle : float
-        Target angular cell edge in radians; pick roughly the query radius
-        you expect to use most.  Values above pi degrade to a linear scan.
-    """
-
-    def __init__(self, cell_angle: float, expect: int = 0):
-        self._grid = _GridLayout(cell_angle)
-        # cells are allocated lazily; most stay empty for small point sets
-        self._cells: list[array | None] = [None] * self._grid.nslots
-        cap = max(int(expect), 64)
-        self._pts = np.empty((cap, 3), dtype=np.float64)
-        self._ids = np.empty(cap, dtype=np.int64)
-        self._rows: dict[int, int] = {}
-        self._count = 0
-
-    @property
-    def cell_angle(self) -> float:
-        return self._grid.cell_angle
-
-    def __len__(self) -> int:
-        return self._count
-
-    def _grow(self, need: int):
-        cap = max(2 * self._pts.shape[0], need)
-        pts = np.empty((cap, 3), dtype=np.float64)
-        ids = np.empty(cap, dtype=np.int64)
-        pts[: self._count] = self._pts[: self._count]
-        ids[: self._count] = self._ids[: self._count]
-        self._pts, self._ids = pts, ids
-
-    def insert(self, vid: int, p) -> None:
-        """Insert one point under integer id vid.  Duplicate ids are rejected."""
-        vid = int(vid)
-        if vid in self._rows:
-            raise ValueError(f"id {vid} already present")
-        p = as_unit_vectors(p)
-        if p.shape != (3,):
-            raise ValueError("insert takes a single point")
-        if abs(float(p @ p) - 1.0) > 1e-9:
-            raise ValueError("point is not a unit vector")
-        if self._count == len(self._ids):
-            self._grow(self._count + 1)
-        row = self._count
-        self._pts[row] = p
-        self._ids[row] = vid
-        self._rows[vid] = row
-        self._count += 1
-        slot = int(self._grid.slot_of_many(p[None, :])[0])
-        cell = self._cells[slot]
-        if cell is None:
-            cell = self._cells[slot] = array("q")
-        cell.append(row)
-
-    @classmethod
-    def from_points(cls, points, ids=None, cell_angle: float | None = None) -> "CapIndex":
-        points = np.atleast_2d(as_unit_vectors(points))
-        n = points.shape[0]
-        if ids is None:
-            ids = range(n)
-        if cell_angle is None:
-            # ~ a handful of points per cell, but keep the cell table bounded
-            cell_angle = max(0.01, 2.0 / np.sqrt(max(n, 1)))
-        idx = cls(cell_angle, expect=n)
-        for vid, p in zip(ids, points):
-            idx.insert(vid, p)
-        return idx
-
-    def query_cap(self, center, R: float, *, sort: bool = True) -> np.ndarray:
-        """Ids of all stored points within angular distance R of center.
-
-        Closed ball: boundary points are included.  With sort=True (default)
-        ids come back ascending; sort=False returns them in grid order, which
-        is deterministic for a fixed insert/query history.
-        """
-        center = as_unit_vectors(center)
-        R = _check_radius(R)
-        if self._count == 0:
-            return np.empty(0, dtype=np.int64)
-        chunks = []
-        for a, b in self._grid.covered_ranges(center, R):
-            for slot in range(a, b):
-                cell = self._cells[slot]
-                if cell:
-                    chunks.append(np.frombuffer(cell, dtype=np.int64))
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        rows = np.concatenate(chunks)
-        keep = self._pts[rows] @ center >= np.cos(R) - DOT_TOL
-        ids = self._ids[rows[keep]]
-        return np.sort(ids) if sort else ids
-
-
-class _StaticCapQuery:
-    """Cap queries over a fixed point set, filtered by birth order.
-
-    Used by the generators: all positions are known up front, so rows can be
-    grouped by cell once (stable sort keeps each group ascending in row id)
-    and a query at time t is a handful of slice gathers plus a rows < t mask.
-    Query results match CapIndex.query_cap(..., sort=False) up to order.
-    """
-
-    def __init__(self, points: np.ndarray, cell_angle: float):
-        self._pts = points
-        self._grid = _GridLayout(cell_angle)
-        slots = self._grid.slot_of_many(points)
-        self._order = np.argsort(slots, kind="stable")
-        counts = np.bincount(slots, minlength=self._grid.nslots)
-        self._start = np.concatenate([[0], np.cumsum(counts)])
-
     def query(self, center: np.ndarray, R: float, before: int) -> np.ndarray:
         """Rows < before within angular distance R of center (grid order)."""
         chunks = []
         start = self._start
         order = self._order
-        for a, b in self._grid.covered_ranges(center, R):
+        for a, b in self._covered_ranges(center, R):
             s, e = start[a], start[b]
             if e > s:
                 chunks.append(order[s:e])
@@ -248,3 +139,31 @@ class _StaticCapQuery:
             return rows
         keep = self._pts[rows] @ center >= np.cos(R) - DOT_TOL
         return rows[keep]
+
+
+class CapIndex(_StaticCapQuery):
+    """Exact closed-cap membership queries over a fixed set of unit vectors.
+
+    Ids are row numbers into points.  cell_angle is the target angular cell
+    edge in radians; it defaults to about a handful of points per cell, with
+    the cell table kept bounded.  Values above pi degrade to a linear scan.
+    """
+
+    def __init__(self, points, cell_angle: float | None = None):
+        points = np.atleast_2d(as_unit_vectors(points))
+        if points.ndim != 2:
+            raise ValueError("points must have shape (n, 3)")
+        if np.any(np.abs(np.einsum("ij,ij->i", points, points) - 1.0) > 1e-9):
+            raise ValueError("points must be unit vectors")
+        if cell_angle is None:
+            cell_angle = max(0.01, 2.0 / np.sqrt(max(points.shape[0], 1)))
+        super().__init__(points, cell_angle)
+
+    def query_cap(self, center, R: float) -> np.ndarray:
+        """Ascending ids of all points within angular distance R of center.
+
+        Closed ball: boundary points are included.
+        """
+        center = as_unit_vectors(center)
+        R = _check_radius(R)
+        return np.sort(self.query(center, R, self._pts.shape[0]))

@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .graph import MODEL_NAMES, EdgeKind, KIND_NAMES
+from .graph import MODEL_NAMES
 from .harness import (ANALYSES, ExperimentSpec, derive_parameters,
                       dump_json, run_experiment)
 from .models import ModelConfig, default_probes, generate
@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_graph_args(p)
     _add_common(p)
     p.add_argument("--R", type=float, default=None,
-                   help="community radius (default: 2r)")
+                   help="community radius (default: min(2r,pi))")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=0.25)
     p.add_argument("--size-cap", type=float, default=None)
@@ -161,10 +161,7 @@ def _cmd_generate(args) -> int:
     g, trace = generate(cfg)
     out = _default_out(args)
     if out is None:
-        print("src,dst,kind")
-        names = [KIND_NAMES[EdgeKind(i)] for i in range(3)]
-        for s, d, kidx in zip(g.edge_src, g.edge_dst, g.edge_kind):
-            print(f"{s},{d},{names[kidx]}")
+        g.write_edges(sys.stdout)
         return 0
     out.mkdir(parents=True, exist_ok=True)
     g.write_edges_csv(out / "edges.csv")

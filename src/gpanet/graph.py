@@ -175,10 +175,6 @@ class EvolvingGraph:
             isolated_birth=bool(self.isolated_birth[v]),
         )
 
-    def edges_of_kind(self, kind: EdgeKind) -> tuple[np.ndarray, np.ndarray]:
-        sel = self.edge_kind == kind
-        return self.edge_src[sel], self.edge_dst[sel]
-
     # -- vertex-set utilities ----------------------------------------------
 
     def _as_mask(self, S) -> np.ndarray:
@@ -253,7 +249,7 @@ class EvolvingGraph:
     @property
     def cap_index(self) -> CapIndex:
         if self._cap_index is None:
-            self._cap_index = CapIndex.from_points(self.positions)
+            self._cap_index = CapIndex(self.positions)
         return self._cap_index
 
     # -- export ---------------------------------------------------------------
@@ -261,11 +257,15 @@ class EvolvingGraph:
     def write_edges_csv(self, path) -> None:
         """One record per edge: src,dst,kind with kind in {plain,long,flexible}."""
         with open(path, "w") as f:
-            f.write("src,dst,kind\n")
-            names = np.array([KIND_NAMES[EdgeKind(k)] for k in range(3)])
-            kind_names = names[self.edge_kind]
-            for s, d, k in zip(self.edge_src, self.edge_dst, kind_names):
-                f.write(f"{s},{d},{k}\n")
+            self.write_edges(f)
+
+    def write_edges(self, f) -> None:
+        """The edges.csv records, streamed line by line to the text file f."""
+        f.write("src,dst,kind\n")
+        names = np.array([KIND_NAMES[EdgeKind(k)] for k in range(3)])
+        kind_names = names[self.edge_kind]
+        for s, d, k in zip(self.edge_src, self.edge_dst, kind_names):
+            f.write(f"{s},{d},{k}\n")
 
     def write_vertices_csv(self, path) -> None:
         """Vertex table: id,colatitude,longitude,birth_time."""

@@ -226,17 +226,27 @@ def _centers(cfg: ModelConfig, k, salt: int) -> np.ndarray:
 
 
 def _communities(g, trace, cfg: ModelConfig, opts: dict, save) -> dict:
-    R = float(opts.get("R", 2.0 * cfg.r))
+    """community_check at sampled centres; R defaults to min(2r, pi).
+
+    A centre whose cap has no defined conductance, such as C_R(v) = V, is
+    reported as {"center", "error"}; it counts as checked, not satisfying.
+    """
+    R = float(opts.get("R", min(2.0 * cfg.r, math.pi)))
     alpha = float(opts.get("alpha", 1.0))
     beta = float(opts.get("beta", 0.25))
     size_cap = float(opts.get("size_cap", cfg.n))
-    centers = _centers(cfg, opts.get("centers", 50), 101)
-    reports = [community_check(g, int(v), R, alpha, beta, size_cap).to_json_dict()
-               for v in centers]
+    reports = []
+    for v in _centers(cfg, opts.get("centers", 50), 101):
+        try:
+            rep = community_check(g, int(v), R, alpha, beta, size_cap)
+        except ValueError as exc:
+            reports.append({"center": int(v), "error": str(exc)})
+        else:
+            reports.append(rep.to_json_dict())
     return {
         "R": R, "alpha": alpha, "beta": beta, "size_cap": size_cap,
         "reports": reports,
-        "n_satisfying": sum(r["satisfies"] for r in reports),
+        "n_satisfying": sum(r.get("satisfies", False) for r in reports),
         "n_checked": len(reports),
     }
 

@@ -42,9 +42,6 @@ class DegreeHistogram:
         ks = np.array(sorted(self.counts), dtype=np.int64)
         return ks, np.array([self.counts[int(k)] for k in ks], dtype=np.int64)
 
-    def total_samples(self, k_min: int = 0) -> int:
-        return sum(c for k, c in self.counts.items() if k >= k_min)
-
     def write_csv(self, path) -> None:
         ks, cs = self.as_arrays()
         with open(path, "w") as f:

@@ -340,7 +340,7 @@ def test_criterion_11_oracle_equivalence():
         cfg = ModelConfig(model="base", n=40 + i, m=2, xi=1.0, r=1.2,
                           seed=100 + i)
         g, _ = generate(cfg)
-        idx = CapIndex.from_points(g.positions)
+        idx = CapIndex(g.positions)
         srng = np.random.default_rng(50 + i)
         x = g.positions[int(srng.integers(0, g.n))]
         contacts = pa_sample_contacts(g, idx, x, draws, cfg.delta, "total",

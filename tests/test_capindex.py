@@ -9,52 +9,40 @@ from gpanet.sphere import SpherePoint, sample_uniform
 from oracles import cap_members_scan
 
 
-def build_index(points, cell_angle, ids=None):
-    return CapIndex.from_points(points, ids=ids, cell_angle=cell_angle)
-
-
 class TestBasics:
     def test_empty_query(self):
-        idx = CapIndex(0.3)
-        assert idx.query_cap(np.array([0.0, 0.0, 1.0]), 1.0).size == 0
-        assert len(idx) == 0
-
-    def test_duplicate_id_rejected(self):
-        idx = CapIndex(0.3)
-        idx.insert(5, np.array([0.0, 0.0, 1.0]))
-        with pytest.raises(ValueError):
-            idx.insert(5, np.array([1.0, 0.0, 0.0]))
-        assert len(idx) == 1
+        idx = CapIndex(np.empty((0, 3)), 0.3)
+        got = idx.query_cap(np.array([0.0, 0.0, 1.0]), 1.0)
+        assert got.size == 0 and got.dtype == np.int64
 
     def test_non_unit_rejected(self):
-        idx = CapIndex(0.3)
         with pytest.raises(ValueError):
-            idx.insert(0, np.array([0.0, 0.0, 2.0]))
+            CapIndex(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]]), 0.3)
 
     def test_bad_cell_angle(self):
-        with pytest.raises(ValueError):
-            CapIndex(0.0)
-        with pytest.raises(ValueError):
-            CapIndex(-1.0)
+        pts = np.array([[0.0, 0.0, 1.0]])
+        for cell in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError):
+                CapIndex(pts, cell)
 
     def test_radius_validation(self):
-        idx = CapIndex(0.3)
-        idx.insert(0, np.array([0.0, 0.0, 1.0]))
+        idx = CapIndex(np.array([[0.0, 0.0, 1.0]]), 0.3)
         with pytest.raises(ValueError):
             idx.query_cap(np.array([0.0, 0.0, 1.0]), -0.5)
         with pytest.raises(ValueError):
             idx.query_cap(np.array([0.0, 0.0, 1.0]), 4.0)
 
     def test_accepts_sphere_point(self):
-        idx = CapIndex(0.3)
-        idx.insert(3, SpherePoint.from_angles(0.4, 0.2).vec)
+        pts = np.vstack([np.eye(3)[1:], [0.0, 0.0, -1.0],
+                         SpherePoint.from_angles(0.4, 0.2).vec])
+        idx = CapIndex(pts, 0.3)
         got = idx.query_cap(SpherePoint.from_angles(0.4, 0.2), 0.01)
         assert got.tolist() == [3]
 
     def test_zero_radius_finds_coincident_point(self):
         rng = np.random.default_rng(0)
         pts = sample_uniform(rng, 60)
-        idx = build_index(pts, 0.4)
+        idx = CapIndex(pts, 0.4)
         for i in (0, 17, 59):
             got = idx.query_cap(pts[i], 0.0)
             assert i in got.tolist()
@@ -62,7 +50,7 @@ class TestBasics:
     def test_full_sphere_returns_everything(self):
         rng = np.random.default_rng(1)
         pts = sample_uniform(rng, 200)
-        idx = build_index(pts, 0.3)
+        idx = CapIndex(pts, 0.3)
         got = idx.query_cap(np.array([0.3, -0.8, 0.52]) / np.linalg.norm([0.3, -0.8, 0.52]), np.pi)
         assert got.tolist() == list(range(200))
 
@@ -76,8 +64,7 @@ class TestScanEquivalence:
             n = int(rng.integers(1, 200))
             pts = sample_uniform(rng, n)
             cell = float(np.exp(rng.uniform(np.log(0.02), np.log(4.0))))
-            ids = rng.permutation(1000)[:n]  # arbitrary, non-contiguous ids
-            idx = build_index(pts, cell, ids=ids)
+            idx = CapIndex(pts, cell)
             # mix of arbitrary centers, stored points, and near-pole centers
             centers = [sample_uniform(rng)]
             centers.append(pts[int(rng.integers(n))])
@@ -86,7 +73,7 @@ class TestScanEquivalence:
             for center in centers:
                 R = float(rng.choice([0.0, 0.05, 0.3, 1.2, np.pi / 2, 3.0, np.pi]))
                 got = idx.query_cap(center, R)
-                want = cap_members_scan(pts, ids, center, R)
+                want = cap_members_scan(pts, np.arange(n), center, R)
                 assert np.array_equal(got, want), (trial, R)
 
     def test_boundary_points_are_members(self):
@@ -95,7 +82,7 @@ class TestScanEquivalence:
         R = 0.7
         on_boundary = np.array([np.sin(R), 0.0, np.cos(R)])
         pts = np.vstack([on_boundary, [0.0, 0.0, -1.0]])
-        idx = build_index(pts, 0.25)
+        idx = CapIndex(pts, 0.25)
         assert idx.query_cap(center, R).tolist() == [0]
 
     @given(st.integers(0, 2 ** 32 - 1), st.floats(0.01, np.pi))
@@ -105,44 +92,37 @@ class TestScanEquivalence:
         n = int(rng.integers(1, 60))
         pts = sample_uniform(rng, n)
         cell = float(rng.uniform(0.05, 2.0))
-        idx = build_index(pts, cell)
+        idx = CapIndex(pts, cell)
         center = sample_uniform(rng)
         got = idx.query_cap(center, R)
         want = cap_members_scan(pts, np.arange(n), center, R)
         assert np.array_equal(got, want)
 
-    def test_insertion_order_irrelevant(self):
+    def test_default_cell_angle(self):
         rng = np.random.default_rng(5)
-        pts = sample_uniform(rng, 120)
-        perm = rng.permutation(120)
-        a = CapIndex(0.3, expect=8)
-        b = CapIndex(0.3)
-        for i in range(120):
-            a.insert(i, pts[i])
-        for i in perm:
-            b.insert(int(i), pts[i])
+        pts = sample_uniform(rng, 400)
+        idx = CapIndex(pts)
+        assert idx.cell_angle == pytest.approx(0.1)
         center = sample_uniform(rng)
-        for R in (0.2, 1.0, 2.8):
-            assert np.array_equal(a.query_cap(center, R), b.query_cap(center, R))
+        for R in (0.0, 0.2, 1.0, 2.8):
+            want = cap_members_scan(pts, np.arange(400), center, R)
+            assert np.array_equal(idx.query_cap(center, R), want)
 
 
 class TestStaticQuery:
-    def test_matches_incremental_with_time_limit(self):
+    def test_matches_scan_with_time_limit(self):
         rng = np.random.default_rng(9)
         n = 300
         pts = sample_uniform(rng, n)
         static = _StaticCapQuery(pts, 0.35)
-        idx = CapIndex(0.35)
-        for t in range(n):
-            if t > 0 and t % 37 == 0:
-                center = sample_uniform(rng)
-                for R in (0.1, 0.8, 2.0):
-                    got = np.sort(static.query(center, R, t))
-                    want = idx.query_cap(center, R)
-                    assert np.array_equal(got, want), (t, R)
-            idx.insert(t, pts[t])
+        for t in range(37, n, 37):
+            center = sample_uniform(rng)
+            for R in (0.1, 0.8, 2.0):
+                got = np.sort(static.query(center, R, t))
+                want = cap_members_scan(pts[:t], np.arange(t), center, R)
+                assert np.array_equal(got, want), (t, R)
         got = np.sort(static.query(pts[0], 1.0, n))
-        assert np.array_equal(got, idx.query_cap(pts[0], 1.0))
+        assert np.array_equal(got, cap_members_scan(pts, np.arange(n), pts[0], 1.0))
 
     def test_before_limit_excludes_later_rows(self):
         pts = np.array([[0.0, 0.0, 1.0], [np.sin(0.01), 0.0, np.cos(0.01)]])

@@ -119,6 +119,19 @@ class TestAnalysisCommands:
         assert len(d["reports"]) == 10
         assert 0 <= d["n_satisfying"] <= 10
 
+    def test_communities_whole_sphere_cap(self, capsys):
+        # R defaults to min(2r, pi) = pi, so every cap is the whole graph
+        code, out, _ = run(capsys, "communities", "--model", "base", "--n",
+                           "60", "--m", "2", "--xi", "1", "--r", "2.0",
+                           "--seed", "4", "--centers", "3", "--json")
+        assert code == 0
+        d = json.loads(out)
+        assert d["R"] == math.pi
+        assert d["n_checked"] == 3 and d["n_satisfying"] == 0
+        assert len(d["reports"]) == 3
+        for rep in d["reports"]:
+            assert rep["error"] == "conductance undefined for S = V"
+
     def test_expander_json(self, capsys):
         code, out, _ = run(capsys, "expander", *GEN, "--centers", "8",
                            "--radii", "0.2,0.5", "--json")

@@ -251,7 +251,7 @@ class TestContactSampler:
         dst = np.concatenate([np.full(4, 1, dtype=np.int64), [2, 2]])
         kind = np.zeros(6, dtype=np.int8)
         g = EvolvingGraph("base", pos, src, dst, kind)
-        idx = CapIndex.from_points(pos)
+        idx = CapIndex(pos)
         return g, idx
 
     def test_forced_single_candidate(self):
@@ -265,8 +265,7 @@ class TestContactSampler:
         rng = np.random.default_rng(0)
         pos = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
         g = EvolvingGraph("base", pos, np.array([0]), np.array([1]), np.int8([0]))
-        idx = CapIndex(0.3)
-        idx.insert(0, pos[0])
+        idx = CapIndex(pos[:1], 0.3)
         with pytest.raises(ValueError):
             pa_sample_contacts(g, idx, pos[1], m=2, delta=1, kind="total",
                                rng=rng, r=0.5)
@@ -279,19 +278,19 @@ class TestContactSampler:
                                kind="total", rng=rng)  # no config, no r
 
     def test_weight_ratio_chi_square(self):
-        # candidates at degree 4 and 2, delta 2: weights 6 and 4
+        # candidates at degree 4, 4 and 2, delta 2: weights 6, 6 and 4
         rng = np.random.default_rng(123)
         pos = sample_uniform(rng, 3)
         src = np.array([0, 0, 0, 0, 1])
         dst = np.array([1, 1, 1, 2, 2])
         kind = np.zeros(5, dtype=np.int8)
         g = EvolvingGraph("base", pos, src, dst, kind)
-        assert g.degree(1) == 4 and g.degree(2) == 2
-        idx = CapIndex.from_points(pos[1:], ids=[1, 2])
+        assert g.degree(0) == 4 and g.degree(1) == 4 and g.degree(2) == 2
+        idx = CapIndex(pos)
         draws = pa_sample_contacts(g, idx, pos[0], m=30000, delta=2,
                                    kind="total", rng=rng, r=np.pi)
-        counts = np.bincount(draws, minlength=3)[1:]
-        p = stats.chisquare(counts, f_exp=np.array([0.6, 0.4]) * counts.sum()).pvalue
+        counts = np.bincount(draws, minlength=3)
+        p = stats.chisquare(counts, f_exp=np.array([6, 6, 4]) / 16 * counts.sum()).pvalue
         assert p > 1e-3, (counts, p)
 
     def test_uniform_when_degrees_equal(self):
@@ -299,7 +298,7 @@ class TestContactSampler:
         pos = sample_uniform(rng, 5)
         g = EvolvingGraph("base", pos, np.empty(0, dtype=np.int64),
                           np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8))
-        idx = CapIndex.from_points(pos)
+        idx = CapIndex(pos)
         draws = pa_sample_contacts(g, idx, pos[0], m=20000, delta=3,
                                    kind="total", rng=rng, r=np.pi)
         counts = np.bincount(draws, minlength=5)
