@@ -20,6 +20,9 @@ from gpanet.harness import ExperimentSpec, run_experiment
 from gpanet.models import ModelConfig, default_probes
 
 GENERATE_SIZES = (1, 2, 50, 2000)
+# narrow caps and m = 24 give over 10^5 edge records
+# and 5000 vertex records, so each CSV table spans several write chunks
+MULTI_CHUNK = dict(model="hybrid", n=5000, m=24, r=0.12, seed=3)
 MODELS = ("base", "hybrid", "selfloop")
 SMALL = ["--model", "hybrid", "--n", "300", "--m", "2", "--xi", "1",
          "--r", "0.5", "--seed", "12"]
@@ -49,9 +52,10 @@ def cli_stdout(argv) -> bytes:
     return buf.getvalue().encode()
 
 
-def generate_digests(model: str, n: int, tmp: Path) -> dict:
-    cli_stdout(["generate", "--model", model, "--n", str(n), "--m", "2",
-                "--xi", "1", "--r", "0.3", "--seed", "7", "--probes", "3",
+def generate_digests(model: str, n: int, tmp: Path, m: int = 2, r: float = 0.3,
+                     seed: int = 7) -> dict:
+    cli_stdout(["generate", "--model", model, "--n", str(n), "--m", str(m),
+                "--xi", "1", "--r", str(r), "--seed", str(seed), "--probes", "3",
                 "--checkpoints", f"1,{n}", "--out", str(tmp)])
     return dir_digests(tmp)
 
@@ -129,6 +133,10 @@ GENERATE = {('base', 1): {'config.json': '6edfec36a616a94f0fc80edeb06439d1bb69a1
                       'edges.csv': '0a834c1e9c8cea38a038558fa3de018f151db8ed35fd017fee6da8e643bde223',
                       'trace.csv': 'bce548619cb250c957103df8606e7c85e3f39df62efdba23218bb2f2fc9ff3e6',
                       'vertices.csv': '4b61329689b5f40a2e80ae70aa46cb83fb88b5a10b5aacb09b540ebd01d0de00'}}
+GENERATE_MULTI_CHUNK = {'config.json': '92098dd7f7bc2bb4f9ba127e66bb44cf9cf59c3d870d0b32c9c97ce54fea423a',
+ 'edges.csv': 'fd2e663e4bc70122245c780976e2ca43b48899036eb66b2dd38b8e89e6ab08c5',
+ 'trace.csv': '750310f9d88f6762023616b58e255c431e8d93423620793b50e11ebe155fc2df',
+ 'vertices.csv': '5b163f600e64102b82f6d4f930fa1eaf0f97ba6d40881613024032278ec1e796'}
 # generate without --out prints edges.csv; n=2000, m=2, r=0.3, seed=7
 GENERATE_STDOUT = {'base': 'bb2b7efc5cc87f1c900232d47b4920e1809bb1b26d7cb4d18a4f51ebe6c1059b',
                    'hybrid': '228a7d5e1fe6b74c1ebc8e72f39b09e8934f506868c39d8bbefdf3bdd24bec5d',
@@ -186,6 +194,10 @@ def test_analysis_stdout(name, as_json):
     assert analysis_digest(name, as_json) == ANALYSIS[(name, as_json)]
 
 
+def test_generate_multi_chunk_outputs(tmp_path):
+    assert generate_digests(tmp=tmp_path, **MULTI_CHUNK) == GENERATE_MULTI_CHUNK
+
+
 def test_experiment_artifacts(tmp_path):
     assert experiment_digests(tmp_path) == EXPERIMENT
 
@@ -199,6 +211,7 @@ if __name__ == "__main__":
         tables = {
             "GENERATE": {(model, n): generate_digests(model, n, Path(d) / f"{model}{n}")
                          for model in MODELS for n in GENERATE_SIZES},
+            "GENERATE_MULTI_CHUNK": generate_digests(tmp=Path(d) / "multi", **MULTI_CHUNK),
             "GENERATE_STDOUT": {model: sha(generate_stdout(model)) for model in MODELS},
             "ANALYSIS": {(name, as_json): analysis_digest(name, as_json)
                          for name in sorted(ANALYSIS_ARGV) for as_json in (True, False)},
