@@ -76,8 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--mode", default="exact",
                    choices=["exact", "component-wise"])
-    p.add_argument("--method", default=None,
-                   choices=["bfs-all", "double-sweep-prune"])
 
     p = sub.add_parser("communities", help="cap communities around sampled vertices")
     _add_graph_args(p)

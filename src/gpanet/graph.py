@@ -25,7 +25,9 @@ class EdgeKind(IntEnum):
     FLEXIBLE = 2
 
 
-KIND_NAMES = {EdgeKind.PLAIN: "plain", EdgeKind.LONG: "long", EdgeKind.FLEXIBLE: "flexible"}
+# indexed by EdgeKind; object dtype, so indexing it by edge_kind yields
+# references to these three strings, not a fixed-width string array
+KIND_NAMES = np.array(["plain", "long", "flexible"], dtype=object)
 
 MODEL_NAMES = ("base", "hybrid", "selfloop")
 
@@ -197,7 +199,8 @@ class EvolvingGraph:
     def boundary_edge_count(self, S) -> int:
         """Edges with exactly one endpoint in S, multiplicity counted; loops never cross."""
         mask = self._as_mask(S)
-        return int(np.count_nonzero(mask[self.edge_src] != mask[self.edge_dst]))
+        rows = self.adjacency_csr[np.flatnonzero(mask)]
+        return int(rows.data[~mask[rows.indices]].sum())
 
     def conductance(self, S) -> float:
         """Boundary edge count over min(vol(S), vol(complement))."""
@@ -216,34 +219,27 @@ class EvolvingGraph:
 
     def induced_connected(self, S) -> bool:
         """Whether the subgraph induced by S is connected (singletons count)."""
-        mask = self._as_mask(S)
-        ids = np.flatnonzero(mask)
-        k = ids.size
-        if k == 0:
+        ids = np.flatnonzero(self._as_mask(S))
+        if ids.size == 0:
             raise ValueError("connectivity undefined for empty S")
-        if k == 1:
-            return True
-        pos = np.full(self.n, -1, dtype=np.int64)
-        pos[ids] = np.arange(k)
-        sel = mask[self.edge_src] & mask[self.edge_dst] & (self.edge_src != self.edge_dst)
-        rows = pos[self.edge_src[sel]]
-        cols = pos[self.edge_dst[sel]]
-        adj = sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(k, k))
-        ncomp, _ = connected_components(adj, directed=False)
+        ncomp, _ = connected_components(self.adjacency_csr[ids][:, ids], directed=False)
         return ncomp == 1
 
     # -- derived structures --------------------------------------------------
 
     @property
     def adjacency_csr(self) -> sp.csr_matrix:
-        """Symmetric adjacency over all edge kinds, self-loops dropped."""
+        """Symmetric adjacency over all edge kinds: entry (u, v) is the number
+        of u-v edges, self-loops dropped."""
         if self._csr is None:
             sel = self.edge_src != self.edge_dst
-            s, d = self.edge_src[sel], self.edge_dst[sel]
-            data = np.ones(2 * s.size, dtype=np.int8)
-            self._csr = sp.csr_matrix(
-                (data, (np.concatenate([s, d]), np.concatenate([d, s]))),
+            # one direction from int32 pairs, then symmetrised: building from
+            # int64 pairs of both directions costs several times the memory
+            one_way = sp.csr_matrix(
+                (np.ones(np.count_nonzero(sel), dtype=np.int32),
+                 (self.edge_src[sel].astype(np.int32), self.edge_dst[sel].astype(np.int32))),
                 shape=(self.n, self.n))
+            self._csr = one_way + one_way.T
         return self._csr
 
     @property
@@ -260,12 +256,9 @@ class EvolvingGraph:
             self.write_edges(f)
 
     def write_edges(self, f) -> None:
-        """The edges.csv records, streamed line by line to the text file f."""
-        f.write("src,dst,kind\n")
-        names = np.array([KIND_NAMES[EdgeKind(k)] for k in range(3)])
-        kind_names = names[self.edge_kind]
-        for s, d, k in zip(self.edge_src, self.edge_dst, kind_names):
-            f.write(f"{s},{d},{k}\n")
+        """The edges.csv records, written to the text file f."""
+        _write_csv(f, "src,dst,kind", "{},{},{}",
+                   self.edge_src, self.edge_dst, KIND_NAMES[self.edge_kind])
 
     def write_vertices_csv(self, path) -> None:
         """Vertex table: id,colatitude,longitude,birth_time."""
@@ -273,6 +266,21 @@ class EvolvingGraph:
         colat = np.arccos(z)
         lon = np.arctan2(self.positions[:, 1], self.positions[:, 0]) % (2.0 * np.pi)
         with open(path, "w") as f:
-            f.write("id,colatitude,longitude,birth_time\n")
-            for i in range(self.n):
-                f.write(f"{i},{colat[i]:.17g},{lon[i]:.17g},{self.birth_time[i]}\n")
+            _write_csv(f, "id,colatitude,longitude,birth_time", "{},{:.17g},{:.17g},{}",
+                       np.arange(self.n), colat, lon, self.birth_time)
+
+
+_CSV_CHUNK_ROWS = 4096
+
+
+def _write_csv(f, header: str, line: str, *columns) -> None:
+    """Write header, then line.format(*row) for each row across the columns.
+
+    Rows are formatted one fixed-size chunk at a time, so no column is ever
+    held whole as strings.
+    """
+    f.write(header + "\n")
+    line += "\n"
+    for lo in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+        chunk = [c[lo:lo + _CSV_CHUNK_ROWS].tolist() for c in columns]
+        f.write("".join(map(line.format, *chunk)))

@@ -215,8 +215,7 @@ def _degrees(g, trace, cfg: ModelConfig, opts: dict, save) -> dict:
 
 
 def _diameter(g, trace, cfg: ModelConfig, opts: dict, save) -> dict:
-    return diameter(g, opts.get("mode", "component-wise"),
-                    opts.get("method")).to_json_dict()
+    return diameter(g, opts.get("mode", "component-wise")).to_json_dict()
 
 
 def _centers(cfg: ModelConfig, k, salt: int) -> np.ndarray:
@@ -286,7 +285,7 @@ class Analysis:
 # a wrapper installed on this module's globals sees every call.
 ANALYSES = {
     "degrees": Analysis(_degrees, ("kind", "k_min")),
-    "diameter": Analysis(_diameter, ("mode", "method")),
+    "diameter": Analysis(_diameter, ("mode",)),
     "communities": Analysis(_communities,
                             ("R", "alpha", "beta", "size_cap", "centers")),
     "expander": Analysis(_expander, ("radii", "centers")),

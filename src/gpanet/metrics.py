@@ -17,7 +17,7 @@ from scipy.optimize import minimize_scalar
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.special import gammaln, zeta
 
-from .graph import EdgeKind, EvolvingGraph
+from .graph import EdgeKind, EvolvingGraph, _write_csv
 from .sphere import cap_area
 
 # ---------------------------------------------------------------------------
@@ -45,9 +45,7 @@ class DegreeHistogram:
     def write_csv(self, path) -> None:
         ks, cs = self.as_arrays()
         with open(path, "w") as f:
-            f.write("k,count\n")
-            for k, c in zip(ks, cs):
-                f.write(f"{k},{c}\n")
+            _write_csv(f, "k,count", "{},{}", ks, cs)
 
     def to_json_dict(self) -> dict:
         ks, cs = self.as_arrays()
@@ -275,29 +273,23 @@ def _diameter_prune(csr, bail_at: int | None = None) -> int | None:
     return lb
 
 
-def _component_diameter(csr, method: str | None) -> tuple[int, str]:
+def _component_diameter(csr) -> tuple[int, str]:
+    """Diameter of a connected component and the name of the method used."""
     n = csr.shape[0]
-    if method is None:
-        if n > _BFS_ALL_MAX_N:
-            # pruning wins on long thin graphs; batched BFS on compact ones
-            d = _diameter_prune(csr, bail_at=max(64, n // 1000))
-            if d is not None:
-                return d, "double-sweep-prune"
-        return _diameter_bfs_all(csr), "bfs-all"
-    if method == "bfs-all":
-        return _diameter_bfs_all(csr), method
-    if method == "double-sweep-prune":
-        return _diameter_prune(csr), method
-    raise ValueError(f"unknown diameter method {method!r}")
+    if n > _BFS_ALL_MAX_N:
+        # pruning wins on long thin graphs; batched BFS on compact ones
+        d = _diameter_prune(csr, bail_at=max(64, n // 1000))
+        if d is not None:
+            return d, "double-sweep-prune"
+    return _diameter_bfs_all(csr), "bfs-all"
 
 
-def diameter(g: EvolvingGraph, mode: str = "exact",
-             method: str | None = None) -> DiameterReport:
+def diameter(g: EvolvingGraph, mode: str = "exact") -> DiameterReport:
     """Exact hop-count diameter.
 
     mode "exact" requires a connected graph; mode "component-wise" reports a
     diameter per connected component (sorted descending) and the maximum.
-    method is chosen by component size unless forced.
+    The method is chosen by component size.
     """
     if mode not in ("exact", "component-wise"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -306,7 +298,7 @@ def diameter(g: EvolvingGraph, mode: str = "exact",
     if mode == "exact":
         if ncomp > 1:
             raise ValueError(f"graph has {ncomp} components; use mode='component-wise'")
-        d, used = _component_diameter(adj, method)
+        d, used = _component_diameter(adj)
         return DiameterReport(diameter=d, connected=True, method=used,
                               mode=mode, n_components=1)
     comp_sizes = np.bincount(labels, minlength=ncomp)
@@ -316,7 +308,7 @@ def diameter(g: EvolvingGraph, mode: str = "exact",
     for c in range(ncomp):
         members = np.flatnonzero(labels == c)
         sub = adj[members][:, members]
-        d, meth = _component_diameter(sub, method)
+        d, meth = _component_diameter(sub)
         diams.append(d)
         if c == largest:
             used = meth  # record the method used on the largest component

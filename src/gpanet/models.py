@@ -20,7 +20,7 @@ import numpy as np
 
 from .capindex import CapIndex, _StaticCapQuery
 from .graph import MODEL_NAMES as MODELS
-from .graph import EdgeKind, EvolvingGraph
+from .graph import EdgeKind, EvolvingGraph, _write_csv
 from .sphere import SpherePoint, _check_radius, as_unit_vectors, sample_uniform
 
 # fixed probe placement stream, independent of the run seed so that traces
@@ -141,11 +141,11 @@ class GenerationTrace:
     isolated_in_cap: np.ndarray = field(default=None)  # per probe: any isolated birth within r
 
     def write_csv(self, path) -> None:
+        k = self.probe_points.shape[0]
         with open(path, "w") as f:
-            f.write("probe_index,t,occupancy,attach_mass\n")
-            for ti, t in enumerate(self.times):
-                for p in range(self.probe_points.shape[0]):
-                    f.write(f"{p},{t},{self.occupancy[ti, p]},{self.attach_mass[ti, p]}\n")
+            _write_csv(f, "probe_index,t,occupancy,attach_mass", "{},{},{},{}",
+                       np.tile(np.arange(k), self.times.size), np.repeat(self.times, k),
+                       self.occupancy.ravel(), self.attach_mass.ravel())
 
 
 def pa_sample_contacts(g: EvolvingGraph, idx: CapIndex, x, m: int, delta: int,
@@ -202,7 +202,6 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
 
     # flexible-loop holders, uniform over vertices holding >= 1 loop
     holders = np.empty(n, dtype=np.int64)
-    hpos = np.full(n, -1, dtype=np.int64)
     hcount = 0
 
     probes = cfg.probes
@@ -261,8 +260,6 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
                 if floops[z] == 0:
                     last = holders[hcount - 1]
                     holders[j] = last
-                    hpos[last] = j
-                    hpos[z] = -1
                     hcount -= 1
                 floops[t] -= 1
                 src[ne] = t
@@ -274,7 +271,6 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
             inc += delta
             if floops[t] > 0:
                 holders[hcount] = t
-                hpos[t] = hcount
                 hcount += 1
 
         expect = 2 * m

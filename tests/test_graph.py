@@ -150,15 +150,19 @@ def test_induced_connected_corner_cases():
 
 
 def test_adjacency_drops_loops_keeps_parallels():
-    src = np.array([0, 0, 0, 1])
-    dst = np.array([0, 1, 1, 2])
-    kind = np.int8([0, 0, 0, 0])
-    g = toy_graph(3, edge_src=src, edge_dst=dst, edge_kind=kind)
-    a = g.adjacency_csr
-    assert a[0, 1] == 2  # multiplicity preserved
-    assert a[1, 0] == 2
-    assert a[0, 0] == 0  # loop dropped in adjacency form
-    assert a[1, 2] == 1
+    for k in (2, 200, 256):  # past the range of int8 multiplicities
+        # k parallel 0-1 edges, split between both directions, beside a loop
+        src = np.array([0] + [0, 1] * (k // 2) + [1])
+        dst = np.array([0] + [1, 0] * (k // 2) + [2])
+        g = toy_graph(3, edge_src=src, edge_dst=dst,
+                      edge_kind=np.zeros(src.size, dtype=np.int8))
+        a = g.adjacency_csr
+        assert a[0, 1] == k  # multiplicity preserved
+        assert a[1, 0] == k
+        assert a[0, 0] == 0  # loop dropped in adjacency form
+        assert a[1, 2] == 1
+        for S in ([0], [1], [2], [0, 1], [1, 2], [0, 2]):
+            assert g.boundary_edge_count(S) == boundary_scan(g, S)
 
 
 def test_cap_index_contains_all_vertices():
