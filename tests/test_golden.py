@@ -33,6 +33,16 @@ ANALYSIS_ARGV = {
     "expander": ["expander", *SMALL, "--centers", "8"],
     "concentration": ["concentration", *SMALL, "--probes", "2"],
 }
+# diameter --json off the connected hybrid graphs: many components, a long
+# path, and a graph of singletons
+DIAMETER_ARGV = {
+    "base-forest": ["--model", "base", "--n", "2000", "--m", "1", "--r", "0.1",
+                    "--seed", "7", "--mode", "component-wise"],
+    "selfloop-path": ["--model", "selfloop", "--n", "600", "--m", "2", "--r", "0",
+                      "--seed", "1", "--mode", "exact"],
+    "base-singletons": ["--model", "base", "--n", "300", "--m", "2", "--r", "0",
+                        "--seed", "1", "--mode", "component-wise"],
+}
 
 
 def sha(data: bytes) -> str:
@@ -68,6 +78,10 @@ def generate_stdout(model: str, *extra) -> bytes:
 def analysis_digest(name: str, as_json: bool) -> str:
     argv = ANALYSIS_ARGV[name] + (["--json"] if as_json else [])
     return sha(cli_stdout(argv))
+
+
+def diameter_digest(name: str) -> str:
+    return sha(cli_stdout(["diameter", *DIAMETER_ARGV[name], "--xi", "1", "--json"]))
 
 
 def experiment_spec(out_dir) -> ExperimentSpec:
@@ -151,6 +165,9 @@ ANALYSIS = {('communities', False): '06c201bd1315b5bbb1137dc737864417e7ecf629d47
  ('diameter', True): '5a3e573238df3cd8c1feca7f72dbd0abdd5ee097dfbb483517be8cb7d0ce1013',
  ('expander', False): 'b816bef1a7cd56daeef3439873525fe02f30f5b10ba741a1ddc081898e53de82',
  ('expander', True): '5a13a3434781df88d5a49c4522808a7a45f4ad3bbf7d5c730053b0d5ca0aa762'}
+DIAMETER = {'base-forest': 'a71cff0f0b0f3d76e801db1b27ebdb080a9fd605f7fc8f58085fd148eacad7d1',
+            'base-singletons': '234e791932133169819b4776abdb43d8526816bf93bfcc9f4cdea204252e7e11',
+            'selfloop-path': '1ed279bd13a636dcaaa57caadc12574e0347861e1ce89bad50061bd30b7f11b0'}
 EXPERIMENT = {'communities_seed11.json': 'ed8cfe3b9f2f86965081da6098751808909694d21edabd8ac696b6ffa717172b',
  'communities_seed7.json': 'e31d4be0b1d460ade65a1dbf15fbd9215baeeea09c4e497ba967e55784f2afa0',
  'concentration_seed11.json': '907959957e05cd66440ad194431bc23c4ad25c506d6ef2b9992490e0d1972c00',
@@ -194,6 +211,11 @@ def test_analysis_stdout(name, as_json):
     assert analysis_digest(name, as_json) == ANALYSIS[(name, as_json)]
 
 
+@pytest.mark.parametrize("name", sorted(DIAMETER_ARGV))
+def test_diameter_stdout(name):
+    assert diameter_digest(name) == DIAMETER[name]
+
+
 def test_generate_multi_chunk_outputs(tmp_path):
     assert generate_digests(tmp=tmp_path, **MULTI_CHUNK) == GENERATE_MULTI_CHUNK
 
@@ -215,6 +237,7 @@ if __name__ == "__main__":
             "GENERATE_STDOUT": {model: sha(generate_stdout(model)) for model in MODELS},
             "ANALYSIS": {(name, as_json): analysis_digest(name, as_json)
                          for name in sorted(ANALYSIS_ARGV) for as_json in (True, False)},
+            "DIAMETER": {name: diameter_digest(name) for name in sorted(DIAMETER_ARGV)},
             "EXPERIMENT": experiment_digests(Path(d) / "experiment"),
         }
     for name, table in tables.items():
