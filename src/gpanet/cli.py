@@ -27,7 +27,7 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--xi", type=float, required=True)
     p.add_argument("--r", type=float, default=None,
-                   help="cap radius as a central angle in (0, pi]")
+                   help="cap radius as a central angle in [0, pi]")
     p.add_argument("--c0", type=float, default=None,
                    help="when --r is omitted, use r = min(ln(n)^c0/sqrt(n), pi)")
     p.add_argument("--delta", type=int, default=None)

@@ -153,62 +153,79 @@ class DiameterReport:
         return d
 
 
-_BFS_ALL_MAX_N = 10 ** 4
+def _diameter_bfs_all(csr, labels) -> np.ndarray:
+    """Exact diameter of every connected component, indexed by label.
 
-
-def _sssp(csr, source: int) -> np.ndarray:
-    return dijkstra(csr, unweighted=True, indices=source)
-
-
-def _diameter_bfs_all(csr) -> int:
-    """Exact diameter by bit-parallel BFS, 64 sources per pass.
-
-    Frontier and visited sets carry one bit per source lane, so each level
-    is a single gather + or-reduce over the edge array shared by 64 BFS
-    runs at once.  Each pass also yields its sources' eccentricities, and
-    ecc(w) <= ecc(v) + d(v, w) bounds every other vertex w.  A vertex whose
-    bound is at most the largest eccentricity found cannot raise it, so it
-    is never made a source.  Sources go by decreasing degree: hubs have
-    small eccentricities, so their bounds rule out the most vertices.
+    A double sweep in all components at once gives each a realised lower
+    bound lb and upper bounds ecc(w) <= ecc(v) + d(v, w) from a sweep end
+    and a path midpoint v.  Bit-parallel BFS then runs 64 sources per pass
+    (one bit per source lane, so a level is one gather + or-reduce over the
+    edge array), and its eccentricities lower the bounds further.  Sources
+    go by decreasing degree among the vertices whose bound exceeds the
+    largest eccentricity BFS found in their component, so hubs go first and
+    rule out the most; a component is done once no bound exceeds that or
+    lb.  A pass with far fewer sources than levels runs SSSP per source.
     """
-    n = csr.shape[0]
-    if n <= 1:
-        return 0
+    # relabel by decreasing degree: sources are then a prefix scan, the hubs'
+    # rows sit together, and empty rows come last, where or-reduce reads the
+    # zero sentinel after the gathered edges instead of the next row's first
+    order = np.argsort(-np.diff(csr.indptr), kind="stable")
+    csr = csr[order][:, order]
+    labels = labels[order]
+    ends = np.cumsum(np.bincount(labels)) - 1   # last slot of each label group
+
+    def farthest(dist):
+        return np.lexsort((dist, labels))[ends]
+
+    roots = np.unique(labels, return_index=True)[1]
+    a = farthest(dijkstra(csr, unweighted=True, indices=roots, min_only=True))
+    d_a, pred, _ = dijkstra(csr, unweighted=True, indices=a, min_only=True,
+                            return_predecessors=True)
+    b = farthest(d_a)
+    lb = d_a[b].astype(np.int64)
+    mid, w = b.copy(), np.flatnonzero(lb > 1)
+    for step in range(int(lb.max()) // 2):   # walk each a-b path halfway back
+        w = w[lb[w] // 2 > step]
+        mid[w] = pred[mid[w]]
+    d_mid = dijkstra(csr, unweighted=True, indices=mid, min_only=True)
+    bound = np.minimum(d_a + lb[labels],
+                       d_mid + d_mid[farthest(d_mid)][labels]).astype(np.int64)
+
     indptr = csr.indptr.astype(np.int64)
     indices = csr.indices.astype(np.int64)
-    deg = np.diff(indptr)
-    if (deg == 0).any():
-        raise ValueError("component not connected")
-    order = np.argsort(-deg, kind="stable")
-    bound = np.full(n, 2 * n, dtype=np.int64)   # upper bounds on eccentricity
-    best = 0
-    gathered = np.empty(indices.size, dtype=np.uint64)
-    red_idx = indptr[:-1]
+    best = np.zeros_like(lb)
+    gathered = np.zeros(indices.size + 1, dtype=np.uint64)
     while True:
-        src = order[bound[order] > best][:64]
-        if src.size == 0:
-            return best
-        lanes = np.uint64(1) << np.arange(src.size, dtype=np.uint64)
-        visited = np.zeros(n, dtype=np.uint64)
-        visited[src] = lanes
-        frontier = visited.copy()
-        ecc = np.zeros(src.size, dtype=np.int64)
-        level = 0
-        while True:
-            np.take(frontier, indices, out=gathered)
-            nxt = np.bitwise_or.reduceat(gathered, red_idx)
-            nxt &= ~visited
-            reached = np.bitwise_or.reduce(nxt)
-            if not reached:
-                break
-            level += 1
-            ecc[(lanes & reached) != 0] = level
-            visited |= nxt
-            frontier = nxt
-        best = max(best, level)
+        top = np.maximum(best, lb)
+        open_ = np.bincount(labels[bound > top[labels]], minlength=lb.size) > 0
+        if not open_.any():
+            return top
+        src = np.flatnonzero((bound > best[labels]) & open_[labels])[:64]
+        # a pass runs at least ceil(top / 2) levels, and one SSSP costs about
+        # 3 (long path) to 12 (n=1e5 hub graph) bit-parallel levels
+        if 8 * src.size <= -(-top[labels[src]].max() // 2):
+            ecc = np.array([(d := dijkstra(csr, unweighted=True, indices=s))[d < np.inf].max()
+                            for s in src], dtype=np.int64)
+        else:
+            lanes = np.uint64(1) << np.arange(src.size, dtype=np.uint64)
+            visited = np.zeros(labels.size, dtype=np.uint64)
+            visited[src] = lanes
+            frontier = visited.copy()
+            ecc = np.zeros(src.size, dtype=np.int64)
+            level = 0
+            while True:
+                np.take(frontier, indices, out=gathered[:-1], mode="clip")
+                nxt = np.bitwise_or.reduceat(gathered, indptr[:-1])
+                nxt &= ~visited
+                reached = np.bitwise_or.reduce(nxt)
+                if not reached:
+                    break
+                level += 1
+                ecc[(lanes & reached) != 0] = level
+                visited |= nxt
+                frontier = nxt
+        np.maximum.at(best, labels[src], ecc)
         _lower_ecc_bounds(csr, bound, src, ecc)
-        if bound.max() == 2 * n:   # some vertex is out of every source's reach
-            raise ValueError("component not connected")
 
 
 def _lower_ecc_bounds(csr, bound, src, ecc) -> None:
@@ -223,99 +240,24 @@ def _lower_ecc_bounds(csr, bound, src, ecc) -> None:
         changed = np.unique(nbrs[bound[nbrs] < before])
 
 
-def _diameter_prune(csr, bail_at: int | None = None) -> int | None:
-    """Exact diameter via double-sweep lower bound plus fringe-level pruning.
-
-    From a midpoint u of an (approximately) diametral path, every vertex at
-    level i from u has eccentricity at most 2i, so scanning levels downward
-    can stop once the lower bound reaches 2i.  Pruning pays off only when
-    few vertices sit on levels above lb/2; on low-diameter graphs nearly
-    everything does.  When bail_at is given and the pending fringe exceeds
-    it, returns None so the caller can switch to the batched-BFS method.
-    """
-    n = csr.shape[0]
-    if n == 1:
-        return 0
-    deg = np.diff(csr.indptr)
-    start = int(np.argmax(deg))
-    d0 = _sssp(csr, start)
-    if not np.isfinite(d0).all():
-        raise ValueError("component not connected")
-    lb = 0
-    mid = start
-    for _ in range(2):  # repeated double sweeps sharpen the lower bound
-        a = int(np.argmax(d0))
-        d_a, pred = dijkstra(csr, unweighted=True, indices=a,
-                             return_predecessors=True)
-        b = int(np.argmax(d_a))
-        if d_a[b] > lb:
-            lb = int(d_a[b])
-            v = b
-            for _ in range(lb // 2):  # walk halfway back along the path
-                v = int(pred[v])
-            mid = v
-        d0 = _sssp(csr, b)
-    d_mid = _sssp(csr, mid)
-    ecc_mid = int(d_mid.max())
-    levels = [np.flatnonzero(d_mid == i) for i in range(ecc_mid + 1)]
-    if bail_at is not None:
-        pending = sum(levels[i].size for i in range(ecc_mid, 0, -1)
-                      if 2 * i > lb)
-        if pending > bail_at:
-            return None
-    for i in range(ecc_mid, 0, -1):
-        if lb >= 2 * i:
-            break
-        for v in levels[i]:
-            ecc = int(_sssp(csr, int(v)).max())
-            if ecc > lb:
-                lb = ecc
-    return lb
-
-
-def _component_diameter(csr) -> tuple[int, str]:
-    """Diameter of a connected component and the name of the method used."""
-    n = csr.shape[0]
-    if n > _BFS_ALL_MAX_N:
-        # pruning wins on long thin graphs; batched BFS on compact ones
-        d = _diameter_prune(csr, bail_at=max(64, n // 1000))
-        if d is not None:
-            return d, "double-sweep-prune"
-    return _diameter_bfs_all(csr), "bfs-all"
-
-
 def diameter(g: EvolvingGraph, mode: str = "exact") -> DiameterReport:
     """Exact hop-count diameter.
 
     mode "exact" requires a connected graph; mode "component-wise" reports a
     diameter per connected component (sorted descending) and the maximum.
-    The method is chosen by component size.
+    One pass of _diameter_bfs_all measures every component at once.
     """
     if mode not in ("exact", "component-wise"):
         raise ValueError(f"unknown mode {mode!r}")
     adj = g.adjacency_csr
     ncomp, labels = connected_components(adj, directed=False)
-    if mode == "exact":
-        if ncomp > 1:
-            raise ValueError(f"graph has {ncomp} components; use mode='component-wise'")
-        d, used = _component_diameter(adj)
-        return DiameterReport(diameter=d, connected=True, method=used,
-                              mode=mode, n_components=1)
-    comp_sizes = np.bincount(labels, minlength=ncomp)
-    largest = int(np.argmax(comp_sizes))
-    diams = []
-    used = None
-    for c in range(ncomp):
-        members = np.flatnonzero(labels == c)
-        sub = adj[members][:, members]
-        d, meth = _component_diameter(sub)
-        diams.append(d)
-        if c == largest:
-            used = meth  # record the method used on the largest component
-    diams.sort(reverse=True)
-    return DiameterReport(diameter=diams[0], connected=(ncomp == 1), method=used,
-                          mode=mode, n_components=ncomp,
-                          component_diameters=tuple(diams))
+    if mode == "exact" and ncomp > 1:
+        raise ValueError(f"graph has {ncomp} components; use mode='component-wise'")
+    diams = sorted(_diameter_bfs_all(adj, labels).tolist(), reverse=True)
+    return DiameterReport(
+        diameter=diams[0], connected=(ncomp == 1), method="bfs-all", mode=mode,
+        n_components=ncomp,
+        component_diameters=None if mode == "exact" else tuple(diams))
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +353,8 @@ def urt_stats(g: EvolvingGraph) -> TreeStats:
     if ncomp != 1:
         raise ValueError(f"tree edges split into {ncomp} components; not a spanning tree")
     # n-1 edges + connected => a tree; its diameter falls out of two sweeps
-    d0 = _sssp(adj, 0)
-    a = int(np.argmax(d0))
-    diam = int(_sssp(adj, a).max())
+    a = int(np.argmax(dijkstra(adj, unweighted=True, indices=0)))
+    diam = int(dijkstra(adj, unweighted=True, indices=a).max())
     deg = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
     return TreeStats(diameter=diam, max_degree=int(deg.max()))
 

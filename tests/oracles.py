@@ -1,6 +1,7 @@
 """Brute-force reference implementations the fast code is checked against."""
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from gpanet.capindex import DOT_TOL
 
@@ -87,6 +88,18 @@ def diameter_scan(adj_lists, nodes):
         _, ecc = bfs_ecc_scan(adj_lists, v)
         best = max(best, ecc)
     return best
+
+
+def component_diameters_scan(adj):
+    """Diameter of each component, descending, by all-pairs shortest paths
+    on that component's own submatrix."""
+    ncomp, labels = connected_components(adj, directed=False)
+    diams = []
+    for c in range(ncomp):
+        members = np.flatnonzero(labels == c)
+        dist = shortest_path(adj[members][:, members], directed=False, unweighted=True)
+        diams.append(int(dist.max()))
+    return tuple(sorted(diams, reverse=True))
 
 
 def sample_zipf(rng, exponent, k_min, size, k_max=10 ** 6):

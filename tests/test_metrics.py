@@ -10,7 +10,6 @@ from gpanet.graph import EdgeKind, EvolvingGraph
 from gpanet.metrics import (FLAG_ALL, FLAG_LOOP_ONLY, FLAG_OK,
                             FLAG_ZERO_VOLUME, CommunityReport,
                             ConcentrationReport, DegreeHistogram,
-                            _diameter_bfs_all, _diameter_prune,
                             analytic_fk, community_check, concentration_report,
                             degree_histogram, diameter, expander_scan,
                             fit_power_law_exponent, long_degree_sum,
@@ -18,8 +17,8 @@ from gpanet.metrics import (FLAG_ALL, FLAG_LOOP_ONLY, FLAG_OK,
 from gpanet.models import GenerationTrace, ModelConfig, default_probes, generate
 from gpanet.sphere import cap_area, sample_uniform
 
-from oracles import (cap_members_scan, conductance_scan, connected_scan,
-                     diameter_scan, sample_zipf)
+from oracles import (cap_members_scan, component_diameters_scan,
+                     conductance_scan, connected_scan, diameter_scan, sample_zipf)
 
 
 def make_graph(src, dst, kind=None, n=None, model="base", seed=0, **kw):
@@ -235,14 +234,25 @@ class TestDiameter:
         g = make_graph(np.zeros(n - 1, dtype=np.int64), np.arange(1, n), n=n)
         assert diameter(g).diameter == 2
 
-    def test_both_methods_match_oracle(self):
+    def test_matches_oracle(self):
         rng = np.random.default_rng(77)
         for trial in range(30):
             n = int(rng.integers(2, 100))
             g = rand_connected(n, int(rng.integers(0, 40)), trial)
-            want = diameter_scan(adj_lists(g), range(g.n))
-            assert _diameter_bfs_all(g.adjacency_csr) == want
-            assert _diameter_prune(g.adjacency_csr) == want
+            assert diameter(g).diameter == diameter_scan(adj_lists(g), range(g.n))
+        # a star between zero-degree vertices: reduceat must not leak into
+        # the empty rows, nor index past the edge array for the last one
+        star = make_graph([0] * 6 + [8], [1, 2, 4, 5, 6, 7, 8], n=10)   # 8: a loop
+        assert diameter(star, "component-wise").component_diameters == (2, 0, 0, 0)
+        for trial in range(60):
+            # multigraphs with loops on some of the ids, so zero-degree
+            # vertices sit in the middle and at the end of the id range
+            n = int(rng.integers(2, 80))
+            ids = rng.choice(n - 1, size=int(rng.integers(1, n)), replace=False)
+            e = int(rng.integers(0, 2 * n))
+            g = make_graph(rng.choice(ids, e), rng.choice(ids, e), n=n, seed=trial)
+            assert (diameter(g, "component-wise").component_diameters
+                    == component_diameters_scan(g.adjacency_csr))
 
     @pytest.mark.parametrize("model", ["base", "hybrid", "selfloop"])
     def test_bfs_all_matches_all_pairs_on_generated_graphs(self, model):
@@ -255,11 +265,13 @@ class TestDiameter:
         assert rep.diameter == want and rep.method == "bfs-all"
 
     def test_bfs_all_on_cycle(self):
-        # every eccentricity equals the diameter, so no source is ruled out
-        n = 301
-        g = make_graph(np.arange(n), (np.arange(n) + 1) % n, n=n)
-        rep = diameter(g)
-        assert rep.diameter == n // 2 and rep.method == "bfs-all"
+        # every eccentricity equals the diameter, so bounds rule out only the
+        # vertices already measured; at n=200 three 64-source passes leave 6
+        # sources against 100 levels, so the last pass runs SSSP per source
+        for n in (200, 301):
+            g = make_graph(np.arange(n), (np.arange(n) + 1) % n, n=n)
+            rep = diameter(g)
+            assert rep.diameter == n // 2 and rep.method == "bfs-all"
 
     def test_exact_requires_connected(self):
         g = make_graph([0, 2], [1, 3], n=4)

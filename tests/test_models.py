@@ -2,15 +2,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from gpanet.capindex import DOT_TOL, CapIndex
 from gpanet.graph import EdgeKind, EvolvingGraph
+from gpanet.metrics import diameter
 from gpanet.models import (DEFAULT_PROBE_SEED, GenerationTrace, ModelConfig,
                            default_probes, generate, pa_sample_contacts)
 from gpanet.sphere import angular_distance, sample_uniform
 
-from oracles import cap_members_scan
+from oracles import cap_members_scan, component_diameters_scan
 
 
 def cfg(model="base", n=50, m=2, xi=1.0, r=np.pi, seed=7, **kw):
@@ -145,6 +148,18 @@ class TestSmallContracts:
         # first vertex: 2m birth loops + m contacts + 1 long
         assert g.degree(0) == 2 * 2 + 2 + 1
         assert g.degree(1) == 2 + 1
+
+    @given(st.sampled_from(["base", "hybrid", "selfloop"]),
+           st.sampled_from([0.0, np.pi]), st.integers(1, 300), st.integers(1, 500),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_degenerate_configs(self, model, r, n, m, seed):
+        xi = 2.0 if m == 1 else 1.0   # the self-loop model needs delta = xi m >= 2
+        g, _ = generate(cfg(model=model, n=n, m=m, xi=xi, r=r, seed=seed))
+        if model == "base" and r == 0.0:
+            assert g.isolated_birth.all()
+        rep = diameter(g, "component-wise")
+        assert rep.component_diameters == component_diameters_scan(g.adjacency_csr)
 
 
 class TestDegreeTotals:
