@@ -164,7 +164,7 @@ def _diameter_bfs_all(csr, labels) -> np.ndarray:
     go by decreasing degree among the vertices whose bound exceeds the
     largest eccentricity BFS found in their component, so hubs go first and
     rule out the most; a component is done once no bound exceeds that or
-    lb.  A pass with far fewer sources than levels runs SSSP per source.
+    lb.
     """
     # relabel by decreasing degree: sources are then a prefix scan, the hubs'
     # rows sit together, and empty rows come last, where or-reduce reads the
@@ -201,29 +201,23 @@ def _diameter_bfs_all(csr, labels) -> np.ndarray:
         if not open_.any():
             return top
         src = np.flatnonzero((bound > best[labels]) & open_[labels])[:64]
-        # a pass runs at least ceil(top / 2) levels, and one SSSP costs about
-        # 3 (long path) to 12 (n=1e5 hub graph) bit-parallel levels
-        if 8 * src.size <= -(-top[labels[src]].max() // 2):
-            ecc = np.array([(d := dijkstra(csr, unweighted=True, indices=s))[d < np.inf].max()
-                            for s in src], dtype=np.int64)
-        else:
-            lanes = np.uint64(1) << np.arange(src.size, dtype=np.uint64)
-            visited = np.zeros(labels.size, dtype=np.uint64)
-            visited[src] = lanes
-            frontier = visited.copy()
-            ecc = np.zeros(src.size, dtype=np.int64)
-            level = 0
-            while True:
-                np.take(frontier, indices, out=gathered[:-1], mode="clip")
-                nxt = np.bitwise_or.reduceat(gathered, indptr[:-1])
-                nxt &= ~visited
-                reached = np.bitwise_or.reduce(nxt)
-                if not reached:
-                    break
-                level += 1
-                ecc[(lanes & reached) != 0] = level
-                visited |= nxt
-                frontier = nxt
+        lanes = np.uint64(1) << np.arange(src.size, dtype=np.uint64)
+        visited = np.zeros(labels.size, dtype=np.uint64)
+        visited[src] = lanes
+        frontier = visited.copy()
+        ecc = np.zeros(src.size, dtype=np.int64)
+        level = 0
+        while True:
+            np.take(frontier, indices, out=gathered[:-1], mode="clip")
+            nxt = np.bitwise_or.reduceat(gathered, indptr[:-1])
+            nxt &= ~visited
+            reached = np.bitwise_or.reduce(nxt)
+            if not reached:
+                break
+            level += 1
+            ecc[(lanes & reached) != 0] = level
+            visited |= nxt
+            frontier = nxt
         np.maximum.at(best, labels[src], ecc)
         _lower_ecc_bounds(csr, bound, src, ecc)
 

@@ -266,8 +266,7 @@ class TestDiameter:
 
     def test_bfs_all_on_cycle(self):
         # every eccentricity equals the diameter, so bounds rule out only the
-        # vertices already measured; at n=200 three 64-source passes leave 6
-        # sources against 100 levels, so the last pass runs SSSP per source
+        # vertices already measured; at n=200 the last pass has 6 of 64 lanes
         for n in (200, 301):
             g = make_graph(np.arange(n), (np.arange(n) + 1) % n, n=n)
             rep = diameter(g)
