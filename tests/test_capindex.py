@@ -129,3 +129,34 @@ class TestStaticQuery:
         static = _StaticCapQuery(pts, 0.5)
         assert static.query(pts[0], 0.5, 1).tolist() == [0]
         assert sorted(static.query(pts[0], 0.5, 2).tolist()) == [0, 1]
+
+    def test_grid_order_at_poles_and_seam(self):
+        # _draw reads the candidates in query order, so the order is part of
+        # the output: ascending grid slot, ascending row within a slot
+        rng = np.random.default_rng(17)
+        seam = np.column_stack([rng.uniform(0.0, np.pi, 150), rng.uniform(-0.05, 0.05, 150)])
+        pts = np.vstack([sample_uniform(rng, 250),
+                         [SpherePoint.from_angles(th, ph).vec for th, ph in seam],
+                         [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+        n = pts.shape[0]
+        eps = 1e-9
+        centers = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]),
+                   SpherePoint.from_angles(eps, 2.0).vec,
+                   SpherePoint.from_angles(np.pi - eps, 5.0).vec]
+        centers += [SpherePoint.from_angles(th, ph).vec
+                    for th in (0.3, np.pi / 2, 2.9)
+                    for ph in (0.0, 1e-12, -1e-12, 2.0 * np.pi - 1e-9)]
+        for cell in (0.05, 0.3, 1.0):
+            static = _StaticCapQuery(pts, cell)
+            rank = np.empty(n, dtype=np.int64)
+            rank[static._order] = np.arange(n)
+            for center in centers:
+                for R in (0.0, 0.05, np.pi / 2, 2.0, np.pi):
+                    ranges = static._covered_ranges(center, R)
+                    assert all(a < b for a, b in ranges), (cell, R)
+                    assert all(b <= a2 for (_, b), (a2, _) in zip(ranges, ranges[1:])), (cell, R)
+                    for t in (1, 200, n):
+                        want = cap_members_scan(pts[:t], np.arange(t), center, R)
+                        want = want[np.argsort(rank[want])]
+                        got = static.query(center, R, t)
+                        assert np.array_equal(got, want), (cell, R, t)

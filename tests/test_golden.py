@@ -11,6 +11,7 @@ current code:
 import contextlib
 import hashlib
 import io
+import math
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,17 @@ GENERATE_SIZES = (1, 2, 50, 2000)
 # and 5000 vertex records, so each CSV table spans several write chunks
 MULTI_CHUNK = dict(model="hybrid", n=5000, m=24, r=0.12, seed=3)
 MODELS = ("base", "hybrid", "selfloop")
+# generate --out at n=2000 off the r=0.3 grid: narrow caps at r0 = ln n/sqrt n,
+# caps that all hold a pole at r=pi, and r=0.01, where most births are
+# isolated; the checkpoints run the probe cap queries through the growth
+R0_2000 = math.log(2000) / math.sqrt(2000)
+CAP_CASES = {
+    "base-r0": dict(model="base", r=R0_2000),
+    "selfloop-r0": dict(model="selfloop", r=R0_2000),
+    "hybrid-pi": dict(model="hybrid", r=math.pi),
+    "base-tiny": dict(model="base", r=0.01),
+}
+CAP_CHECKPOINTS = "500,1000,1500,2000"
 SMALL = ["--model", "hybrid", "--n", "300", "--m", "2", "--xi", "1",
          "--r", "0.5", "--seed", "12"]
 ANALYSIS_ARGV = {
@@ -63,11 +75,16 @@ def cli_stdout(argv) -> bytes:
 
 
 def generate_digests(model: str, n: int, tmp: Path, m: int = 2, r: float = 0.3,
-                     seed: int = 7) -> dict:
+                     seed: int = 7, checkpoints: str | None = None) -> dict:
     cli_stdout(["generate", "--model", model, "--n", str(n), "--m", str(m),
                 "--xi", "1", "--r", str(r), "--seed", str(seed), "--probes", "3",
-                "--checkpoints", f"1,{n}", "--out", str(tmp)])
+                "--checkpoints", checkpoints or f"1,{n}", "--out", str(tmp)])
     return dir_digests(tmp)
+
+
+def cap_case_digests(name: str, tmp: Path) -> dict:
+    return generate_digests(n=2000, tmp=tmp, checkpoints=CAP_CHECKPOINTS,
+                            **CAP_CASES[name])
 
 
 def generate_stdout(model: str, *extra) -> bytes:
@@ -151,6 +168,22 @@ GENERATE_MULTI_CHUNK = {'config.json': '92098dd7f7bc2bb4f9ba127e66bb44cf9cf59c3d
  'edges.csv': 'fd2e663e4bc70122245c780976e2ca43b48899036eb66b2dd38b8e89e6ab08c5',
  'trace.csv': '750310f9d88f6762023616b58e255c431e8d93423620793b50e11ebe155fc2df',
  'vertices.csv': '5b163f600e64102b82f6d4f930fa1eaf0f97ba6d40881613024032278ec1e796'}
+GENERATE_CAPS = {'base-r0': {'config.json': '1d7eeeb9273bbbfe4ca84ff5063e8144f80f70433964ad4dd09f3de012f01022',
+             'edges.csv': 'cda526f7e176d928e165d4d379445de0456d064a89d6b61642d5628fccd36359',
+             'trace.csv': '71c31164007f052e12a6c1ed87725e7ab797a2fa74973a8f0043042465612efc',
+             'vertices.csv': '4b61329689b5f40a2e80ae70aa46cb83fb88b5a10b5aacb09b540ebd01d0de00'},
+ 'base-tiny': {'config.json': 'f12f4183253a1b14f42cc598705fbafc336ec81d4206259f8f6d9a755f56f46b',
+               'edges.csv': '65a97a86b56526c2958fd4eca39a5b93b7560c0f2d4990bb4a15cbe9e0676540',
+               'trace.csv': 'f0700b4bc70a0587532f70129683019aa90bcda09c23819bf4241375d83c2f63',
+               'vertices.csv': '4b61329689b5f40a2e80ae70aa46cb83fb88b5a10b5aacb09b540ebd01d0de00'},
+ 'hybrid-pi': {'config.json': 'e966ad9588751e8db52b7c8576ced0651f5ff6d0458d4fc9d890d9d7fe9946a7',
+               'edges.csv': '734012c186bb52abf7e4da8cff9d16b045e7918fb1618c6969ec2e23dc26d2bb',
+               'trace.csv': 'b80a7ee1c95f333319d85f67952611e3ded12921796a999123ae7e9698acde39',
+               'vertices.csv': '4b61329689b5f40a2e80ae70aa46cb83fb88b5a10b5aacb09b540ebd01d0de00'},
+ 'selfloop-r0': {'config.json': 'ae696d299b401ecc068bf1e9489438d95fa1d124f03c7e42e29ed8c5b2743974',
+                 'edges.csv': '15688b829ec1c5f6da23d7942d34027f3450591144785b90616ba29e52275a18',
+                 'trace.csv': '8e622c71eab4641d5ec7fb6f4faaa1688f96f0f4bbde21644dc1bfd9a923916e',
+                 'vertices.csv': '4b61329689b5f40a2e80ae70aa46cb83fb88b5a10b5aacb09b540ebd01d0de00'}}
 # generate without --out prints edges.csv; n=2000, m=2, r=0.3, seed=7
 GENERATE_STDOUT = {'base': 'bb2b7efc5cc87f1c900232d47b4920e1809bb1b26d7cb4d18a4f51ebe6c1059b',
                    'hybrid': '228a7d5e1fe6b74c1ebc8e72f39b09e8934f506868c39d8bbefdf3bdd24bec5d',
@@ -216,6 +249,11 @@ def test_diameter_stdout(name):
     assert diameter_digest(name) == DIAMETER[name]
 
 
+@pytest.mark.parametrize("name", sorted(CAP_CASES))
+def test_generate_cap_cases(name, tmp_path):
+    assert cap_case_digests(name, tmp_path) == GENERATE_CAPS[name]
+
+
 def test_generate_multi_chunk_outputs(tmp_path):
     assert generate_digests(tmp=tmp_path, **MULTI_CHUNK) == GENERATE_MULTI_CHUNK
 
@@ -234,6 +272,8 @@ if __name__ == "__main__":
             "GENERATE": {(model, n): generate_digests(model, n, Path(d) / f"{model}{n}")
                          for model in MODELS for n in GENERATE_SIZES},
             "GENERATE_MULTI_CHUNK": generate_digests(tmp=Path(d) / "multi", **MULTI_CHUNK),
+            "GENERATE_CAPS": {name: cap_case_digests(name, Path(d) / name)
+                              for name in sorted(CAP_CASES)},
             "GENERATE_STDOUT": {model: sha(generate_stdout(model)) for model in MODELS},
             "ANALYSIS": {(name, as_json): analysis_digest(name, as_json)
                          for name in sorted(ANALYSIS_ARGV) for as_json in (True, False)},
