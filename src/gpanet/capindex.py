@@ -2,14 +2,16 @@
 
 Points are bucketed into a latitude-band grid: bands of equal colatitude
 height, each band split into near-square longitude cells.  A cap query walks
-the bands the cap can touch, computes for each band the exact longitude
-window the cap covers there, and post-filters the gathered candidates with
-the closed-ball predicate dot(p, center) >= cos(R) - tol.  The window math is
-conservative (query radius padded by 2e-6 rad), so the candidate set is a
-provable superset and the filter makes the result exact.
+the bands the cap can touch, gathers the cells of the cap's one longitude
+window in each, and post-filters the candidates with the closed-ball
+predicate dot(p, center) >= cos(R) - tol.  The window is conservative
+(query radius padded by 2e-6 rad), so the candidate set is a provable
+superset and the filter makes the result exact.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -54,73 +56,40 @@ class _StaticCapQuery:
         self._start = np.concatenate([[0], np.cumsum(counts)])
 
     def _covered_ranges(self, center: np.ndarray, R: float) -> list[tuple[int, int]]:
-        """Half-open slot ranges that jointly cover the cap (center, R).
+        """Ascending, disjoint half-open slot ranges that cover the cap (center, R).
 
-        Conservative: every point within R of center lies in one of
-        the returned slots.  Within a band the cap covers the longitude
-        window |dphi| <= arccos(g(theta)) where
-            g(theta) = (cos R - cos theta_c cos theta) / (sin theta_c sin theta),
-        minimized over the band's colatitudes at an endpoint or at the single
-        critical point cos theta* = cos theta_c / cos R.
+        Conservative: every point within R of center lies in one of the
+        returned slots, and a gather over them lists rows in grid order.
+        The padded cap of radius rho = R + _PAD spans the colatitudes
+        theta_c +- rho and, unless it holds a pole, the longitudes
+        phi_c +- arcsin(sin rho / sin theta_c), its width where meridians
+        touch it.  Each band in the colatitude range takes the cells of that
+        one window, or the whole band when the window covers it or the cap
+        holds a pole.  The pad carries over into longitude at least 1:1:
+        d(dphi)/d(rho) = cos rho / sqrt(sin^2 theta_c - sin^2 rho) >= 1.
         """
-        theta_c = float(np.arccos(min(1.0, max(-1.0, center[2]))))
-        phi_c = float(np.arctan2(center[1], center[0])) % (2.0 * np.pi)
-        rp = min(R + _PAD, np.pi)
-        h = self._band_h
-        b0 = max(0, int((theta_c - rp) / h))
-        b1 = min(self._nbands - 1, int((theta_c + rp) / h))
-        bands = np.arange(b0, b1 + 1)
-        lo = np.maximum(bands * h, theta_c - rp)
-        hi = np.minimum((bands + 1) * h, theta_c + rp)
-        ncb = self._ncells[b0:b1 + 1]
-        off = self._band_off[b0:b1 + 1]
-        sin_c, cos_c = np.sin(theta_c), np.cos(theta_c)
-        cos_rp = np.cos(rp)
-
-        whole = (ncb == 1) | (sin_c < 1e-9) | (lo < 1e-9) | (hi > np.pi - 1e-9)
-        los = np.clip(lo, 1e-9, np.pi - 1e-9)
-        his = np.clip(hi, 1e-9, np.pi - 1e-9)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            glo = (cos_rp - cos_c * np.cos(los)) / (sin_c * np.sin(los))
-            ghi = (cos_rp - cos_c * np.cos(his)) / (sin_c * np.sin(his))
-        gmin = np.minimum(glo, ghi)
-        if cos_rp != 0.0:
-            ct = cos_c / cos_rp
-            if -1.0 < ct < 1.0:
-                ts = float(np.arccos(ct))
-                inside = (lo < ts) & (ts < hi)
-                if inside.any():
-                    gts = (cos_rp - cos_c * np.cos(ts)) / (sin_c * np.sin(ts))
-                    gmin = np.where(inside, np.minimum(gmin, gts), gmin)
-        gmin = gmin - 1e-12
-        whole |= gmin <= -1.0
-        skip = ~whole & (gmin >= 1.0)
-        # lanes already marked whole may hold non-finite g values; clear them
-        # so the window arithmetic below stays warning-free
-        gmin = np.where(whole, -1.0, gmin)
-        dphi = np.arccos(np.clip(gmin, -1.0, 1.0))
-        w = self._cell_w[b0:b1 + 1]
-        j0 = np.floor((phi_c - dphi) / w).astype(np.int64)
-        j1 = np.floor((phi_c + dphi) / w).astype(np.int64)
-        whole |= j1 - j0 + 1 >= ncb
-
+        theta_c = math.acos(min(1.0, max(-1.0, float(center[2]))))
+        rp = min(R + _PAD, math.pi)
+        b0 = max(0, int((theta_c - rp) / self._band_h))
+        b1 = min(self._nbands - 1, int((theta_c + rp) / self._band_h))
+        off = self._band_off
+        if not rp < theta_c < math.pi - rp:  # the cap holds a pole
+            return [(int(off[b0]), int(off[b1 + 1]))]
+        dphi = math.asin(min(1.0, math.sin(rp) / math.sin(theta_c)))
+        phi_c = math.atan2(float(center[1]), float(center[0])) % (2.0 * math.pi)
         ranges: list[tuple[int, int]] = []
-        for i in range(bands.size):
-            if skip[i]:
-                continue
-            o, nc = int(off[i]), int(ncb[i])
-            if whole[i]:
+        for o, nc, w in zip(off[b0:b1 + 1].tolist(), self._ncells[b0:b1 + 1].tolist(),
+                            self._cell_w[b0:b1 + 1].tolist()):
+            j0 = math.floor((phi_c - dphi) / w)
+            j1 = math.floor((phi_c + dphi) / w)
+            a, b = j0 % nc, j1 % nc
+            if j1 - j0 + 1 >= nc:
                 ranges.append((o, o + nc))
-                continue
-            a = int(j0[i]) % nc
-            b = int(j1[i]) % nc
-            if a <= b:
+            elif a <= b:
                 ranges.append((o + a, o + b + 1))
             else:  # window wraps the 0/2pi seam
-                ranges.append((o, o + b + 1))
-                ranges.append((o + a, o + nc))
+                ranges += [(o, o + b + 1), (o + a, o + nc)]
         return ranges
-
 
     def query(self, center: np.ndarray, R: float, before: int) -> np.ndarray:
         """Rows < before within angular distance R of center (grid order)."""
