@@ -416,6 +416,8 @@ def concentration_report(trace, cfg, t_r: float | None = None) -> ConcentrationR
         raise ValueError("trace has no checkpoints")
     if trace.occupancy.shape[0] != times.size:
         raise ValueError("trace shape mismatch")
+    if trace.occupancy.shape[1] == 0:
+        raise ValueError("trace has no probes")
     a_r = float(cap_area(cfg.r))
     if a_r <= 0.0:
         raise ValueError("cap area is zero; no drift target")

@@ -149,6 +149,11 @@ class TestAnalysisCommands:
         assert d["times"] == [100, 200]
         assert d["worst_z_dev"] is None or isinstance(d["worst_z_dev"], float)
 
+    def test_concentration_without_probes_fails(self, capsys):
+        code, out, _ = run(capsys, "concentration", *GEN, "--probes", "0", "--json")
+        assert code == 1
+        assert json.loads(out)["error"] == "trace has no probes"
+
 
 class TestExperimentCommand:
     def test_runs_spec_file(self, capsys, tmp_path):

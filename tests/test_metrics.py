@@ -559,6 +559,9 @@ class TestConcentration:
                               attach_mass=bad.attach_mass)
         with pytest.raises(ValueError):
             concentration_report(bad, cfg)
+        no_probes = make_trace([10, 20], np.zeros((2, 0)), np.zeros((2, 0)), probes=0)
+        with pytest.raises(ValueError, match="trace has no probes"):
+            concentration_report(no_probes, cfg)
         r0 = ModelConfig(model="base", n=10, m=2, xi=1.0, r=0.0, seed=0)
         with pytest.raises(ValueError):
             concentration_report(make_trace([5], [[1, 1]], [[6, 6]]), r0)
