@@ -35,7 +35,6 @@ CAP_CASES = {
     "hybrid-pi": dict(model="hybrid", r=math.pi),
     "base-tiny": dict(model="base", r=0.01),
 }
-CAP_CHECKPOINTS = "500,1000,1500,2000"
 SMALL = ["--model", "hybrid", "--n", "300", "--m", "2", "--xi", "1",
          "--r", "0.5", "--seed", "12"]
 ANALYSIS_ARGV = {
@@ -83,7 +82,7 @@ def generate_digests(model: str, n: int, tmp: Path, m: int = 2, r: float = 0.3,
 
 
 def cap_case_digests(name: str, tmp: Path) -> dict:
-    return generate_digests(n=2000, tmp=tmp, checkpoints=CAP_CHECKPOINTS,
+    return generate_digests(n=2000, tmp=tmp, checkpoints="500,1000,1500,2000",
                             **CAP_CASES[name])
 
 
