@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .sphere import as_unit_vectors, _check_radius
+from .sphere import _check_radius, as_unit_vectors, to_angles, unit_rows
 
 # slack on the membership dot product; absorbs rounding of stored unit vectors
 DOT_TOL = 1e-12
@@ -46,9 +46,8 @@ class _StaticCapQuery:
         self._cell_w = 2.0 * np.pi / self._ncells
         self._band_off = np.concatenate([[0], np.cumsum(self._ncells)])
 
-        theta = np.arccos(np.clip(points[:, 2], -1.0, 1.0))
+        theta, phi = to_angles(points)
         band = np.minimum((theta / self._band_h).astype(np.int64), self._nbands - 1)
-        phi = np.arctan2(points[:, 1], points[:, 0]) % (2.0 * np.pi)
         cell = np.minimum((phi / self._cell_w[band]).astype(np.int64), self._ncells[band] - 1)
         slots = self._band_off[band] + cell
         self._order = np.argsort(slots, kind="stable")
@@ -119,11 +118,7 @@ class CapIndex(_StaticCapQuery):
     """
 
     def __init__(self, points, cell_angle: float | None = None):
-        points = np.atleast_2d(as_unit_vectors(points))
-        if points.ndim != 2:
-            raise ValueError("points must have shape (n, 3)")
-        if np.any(np.abs(np.einsum("ij,ij->i", points, points) - 1.0) > 1e-9):
-            raise ValueError("points must be unit vectors")
+        points = unit_rows(points, "points")
         if cell_angle is None:
             cell_angle = max(0.01, 2.0 / np.sqrt(max(points.shape[0], 1)))
         super().__init__(points, cell_angle)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .graph import MODEL_NAMES
 from .harness import (ANALYSES, ExperimentSpec, derive_parameters,
-                      dump_json, run_experiment)
+                      dump_json, json_text, run_experiment)
 from .models import ModelConfig, default_probes, generate
 
 
@@ -140,7 +140,7 @@ def _config_from_args(args, probes=None, checkpoints=()) -> ModelConfig:
 
 def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json_text(payload))
     else:
         for k in sorted(payload):
             print(f"{k}: {payload[k]}")
@@ -148,7 +148,7 @@ def _emit(payload: dict, as_json: bool) -> None:
 
 def _cmd_params(args) -> int:
     dp = derive_parameters(args.n, args.xi, args.c0, args.c1, args.r)
-    print(json.dumps(dp.to_json_dict(), sort_keys=True, indent=2))
+    print(json_text(dp.to_json_dict()))
     return 0
 
 
@@ -210,12 +210,12 @@ def _cmd_analysis(args) -> int:
 
 def _cmd_experiment(args) -> int:
     spec_dict = json.loads(Path(args.spec).read_text())
-    if args.out is not None:
+    if args.out is not None and isinstance(spec_dict, dict):
         spec_dict["out_dir"] = args.out
     spec = ExperimentSpec.from_json_dict(spec_dict)
     index = run_experiment(spec)
     if args.json:
-        print(json.dumps(index, sort_keys=True, indent=2))
+        print(json_text(index))
     else:
         print(f"wrote {len(index['artifacts'])} artifacts to {spec.out_dir}")
         for err in index["errors"]:

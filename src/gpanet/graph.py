@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .capindex import CapIndex
-from .sphere import as_unit_vectors
+from .sphere import to_angles, unit_rows
 
 
 class EdgeKind(IntEnum):
@@ -74,22 +74,16 @@ class EvolvingGraph:
     """Frozen result of a generation run (or a hand-built instance in tests).
 
     Vertex ids are 0-based array indices; vertex i is the (i+1)-th born, so
-    birth_time defaults to i+1.
+    its birth_time is i+1.
     """
 
     def __init__(self, model: str, positions, edge_src, edge_dst, edge_kind,
-                 flexible_loops=None, isolated_birth=None, birth_time=None,
-                 config=None):
+                 flexible_loops=None, isolated_birth=None, config=None):
         self.model = str(model)
         if self.model not in MODEL_NAMES:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODEL_NAMES}")
-        self.positions = np.ascontiguousarray(as_unit_vectors(positions), dtype=np.float64)
-        if self.positions.ndim != 2:
-            raise ValueError("positions must have shape (n, 3)")
+        self.positions = np.ascontiguousarray(unit_rows(positions, "positions"))
         n = self.positions.shape[0]
-        norms = np.einsum("ij,ij->i", self.positions, self.positions)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError("positions must be unit vectors")
 
         self.edge_src = np.asarray(edge_src, dtype=np.int64)
         self.edge_dst = np.asarray(edge_dst, dtype=np.int64)
@@ -112,9 +106,7 @@ class EvolvingGraph:
         if isolated_birth is None:
             isolated_birth = np.zeros(n, dtype=bool)
         self.isolated_birth = np.asarray(isolated_birth, dtype=bool)
-        if birth_time is None:
-            birth_time = np.arange(1, n + 1, dtype=np.int64)
-        self.birth_time = np.asarray(birth_time, dtype=np.int64)
+        self.birth_time = np.arange(1, n + 1, dtype=np.int64)
         self.config = config
 
         # degree tallies are always recomputed from the edge list; generators
@@ -262,9 +254,7 @@ class EvolvingGraph:
 
     def write_vertices_csv(self, path) -> None:
         """Vertex table: id,colatitude,longitude,birth_time."""
-        z = np.clip(self.positions[:, 2], -1.0, 1.0)
-        colat = np.arccos(z)
-        lon = np.arctan2(self.positions[:, 1], self.positions[:, 0]) % (2.0 * np.pi)
+        colat, lon = to_angles(self.positions)
         with open(path, "w") as f:
             _write_csv(f, "id,colatitude,longitude,birth_time", "{},{:.17g},{:.17g},{}",
                        np.arange(self.n), colat, lon, self.birth_time)

@@ -19,8 +19,10 @@ import numpy as np
 
 from .metrics import (DegreeHistogram, analytic_fk, community_check,
                       concentration_report, degree_histogram, diameter,
-                      expander_scan, fit_power_law_exponent, urt_stats)
+                      expander_scan, fit_power_law_exponent, json_ready,
+                      urt_stats)
 from .models import ModelConfig, generate
+
 
 @dataclass(frozen=True)
 class DerivedParameters:
@@ -50,13 +52,7 @@ class DerivedParameters:
     t0_floored: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n, "xi": self.xi, "c0": self.c0, "c1": self.c1,
-            "r": self.r, "r0": self.r0, "R0": self.R0, "t_r": self.t_r,
-            "t0": self.t0, "c2": self.c2, "window_valid": self.window_valid,
-            "r0_clamped": self.r0_clamped, "R0_clamped": self.R0_clamped,
-            "t_r_floored": self.t_r_floored, "t0_floored": self.t0_floored,
-        }
+        return json_ready(self)
 
 
 def exponent_window_valid(xi: float, c0: float, c1: float) -> bool:
@@ -178,14 +174,43 @@ class ExperimentSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentSpec":
-        return cls(config=ModelConfig.from_json_dict(d["config"]),
-                   seeds=tuple(d["seeds"]), analyses=tuple(d["analyses"]),
-                   out_dir=d["out_dir"], options=dict(d.get("options", {})))
+        """Parse a spec file; a missing or ill-typed key raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError("experiment spec must be a JSON object")
+        d = {"options": {}, **d}
+        for key, (kind, item, what) in _SPEC_KEYS.items():
+            if key not in d:
+                raise ValueError(f"experiment spec has no {key!r}")
+            v = d[key]
+            if not (isinstance(v, kind) and all(
+                    isinstance(x, item) for x in (v.values() if kind is dict else v))):
+                raise ValueError(f"experiment spec {key!r} must be {what}")
+        try:
+            config = ModelConfig.from_json_dict(d["config"])
+        except KeyError as exc:
+            raise ValueError(f"experiment spec 'config' has no {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"experiment spec 'config' is ill-typed: {exc}") from None
+        return cls(config=config, seeds=d["seeds"], analyses=d["analyses"],
+                   out_dir=d["out_dir"], options=d["options"])
+
+
+# the keys of a spec file: JSON type, type of each item, and their names
+_SPEC_KEYS = {"config": (dict, object, "an object"),
+              "seeds": (list, int, "a list of integers"),
+              "analyses": (list, str, "a list of strings"),
+              "out_dir": (str, str, "a string"),
+              "options": (dict, dict, "an object of objects")}
+
+
+def json_text(obj) -> str:
+    """Artifact and --json text: sorted keys, two-space indent, no NaN or inf."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
 
 
 def dump_json(path: Path, obj) -> None:
-    """The artifact JSON format: sorted keys, two-space indent, final newline."""
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Write obj as json_text plus a final newline."""
+    path.write_text(json_text(obj) + "\n")
 
 
 def _degrees(g, trace, cfg: ModelConfig, opts: dict, save) -> dict:
@@ -202,9 +227,7 @@ def _degrees(g, trace, cfg: ModelConfig, opts: dict, save) -> dict:
     emp = cs[sel] / cs[sel].sum()
     l1 = float(np.abs(emp - analytic_fk(ks[sel], cfg.m, cfg.xi, cfg.delta)).sum())
     report = {
-        "kind": h.kind, "k_min": k_min,
-        "exponent": fit.exponent, "stderr": fit.stderr,
-        "tail_count": fit.tail_count,
+        "kind": h.kind, **json_ready(fit),
         "expected_exponent": 3.0 + cfg.xi,
         "fk_l1_distance": l1,
         "max_degree": int(ks.max()),
@@ -227,10 +250,14 @@ def _centers(cfg: ModelConfig, k, salt: int) -> np.ndarray:
 def _communities(g, trace, cfg: ModelConfig, opts: dict, save) -> dict:
     """community_check at sampled centres; R defaults to min(2r, pi).
 
-    A centre whose cap has no defined conductance, such as C_R(v) = V, is
-    reported as {"center", "error"}; it counts as checked, not satisfying.
+    R must be finite and nonnegative; above pi the caps are the whole
+    sphere.  A centre whose cap has no defined conductance, such as
+    C_R(v) = V, is reported as {"center", "error"}; it counts as checked,
+    not satisfying.
     """
     R = float(opts.get("R", min(2.0 * cfg.r, math.pi)))
+    if not (math.isfinite(R) and R >= 0.0):
+        raise ValueError(f"community radius R must be finite and nonnegative, got {R}")
     alpha = float(opts.get("alpha", 1.0))
     beta = float(opts.get("beta", 0.25))
     size_cap = float(opts.get("size_cap", cfg.n))
@@ -242,12 +269,12 @@ def _communities(g, trace, cfg: ModelConfig, opts: dict, save) -> dict:
             reports.append({"center": int(v), "error": str(exc)})
         else:
             reports.append(rep.to_json_dict())
-    return {
+    return json_ready({
         "R": R, "alpha": alpha, "beta": beta, "size_cap": size_cap,
         "reports": reports,
         "n_satisfying": sum(r.get("satisfies", False) for r in reports),
         "n_checked": len(reports),
-    }
+    })
 
 
 def _expander(g, trace, cfg: ModelConfig, opts: dict, save) -> dict:
@@ -261,8 +288,7 @@ def _concentration(g, trace, cfg: ModelConfig, opts: dict, save) -> dict:
 
 
 def _tree(g, trace, cfg: ModelConfig, opts: dict, save) -> dict:
-    stats = urt_stats(g)
-    return {"diameter": stats.diameter, "max_degree": stats.max_degree,
+    return {**json_ready(urt_stats(g)),
             "log2_n": math.log2(cfg.n) if cfg.n > 1 else 0.0}
 
 
@@ -305,14 +331,8 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     """
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    index: dict = {
-        "config": spec.config.to_json_dict(),
-        "seeds": list(spec.seeds),
-        "analyses": list(spec.analyses),
-        "options": spec.options,
-        "artifacts": [],
-        "errors": [],
-    }
+    index: dict = {**spec.to_json_dict(), "artifacts": [], "errors": []}
+    del index["out_dir"]
     pooled_counts: Counter = Counter()
     fits = []
 
@@ -321,14 +341,16 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         dump_json(out / name, payload)
         index["artifacts"].append(name)
 
+    def fail(seed: int, analysis: str, exc: Exception) -> None:
+        index["errors"].append({"seed": seed, "analysis": analysis,
+                                "error": str(exc), "type": type(exc).__name__})
+
     for seed in spec.seeds:
         cfg = replace(spec.config, seed=seed)
         try:
             g, trace = generate(cfg)
         except Exception as exc:
-            index["errors"].append({"seed": seed, "analysis": "generate",
-                                    "error": str(exc),
-                                    "type": type(exc).__name__})
+            fail(seed, "generate", exc)
             continue
         for analysis in spec.analyses:
             tables = []
@@ -344,9 +366,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
                     g, trace, cfg, spec.options.get(analysis, {}), save)
                 emit(f"{analysis}_seed{seed}.json", rep, cfg)
             except Exception as exc:
-                index["errors"].append({"seed": seed, "analysis": analysis,
-                                        "error": str(exc),
-                                        "type": type(exc).__name__})
+                fail(seed, analysis, exc)
                 continue
             if analysis == "degrees":
                 fits.append({"seed": seed, "exponent": rep["exponent"],
@@ -360,10 +380,9 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         summary: dict = {"per_seed": fits, "expected_exponent":
                          3.0 + spec.config.xi, "k_min": k_min}
         try:
-            pf = fit_power_law_exponent(pooled, k_min)
-            summary["pooled_exponent"] = pf.exponent
-            summary["pooled_stderr"] = pf.stderr
-            summary["pooled_tail_count"] = pf.tail_count
+            pf = json_ready(fit_power_law_exponent(pooled, k_min))
+            summary.update({f"pooled_{k}": pf[k]
+                            for k in ("exponent", "stderr", "tail_count")})
         except ValueError as exc:
             summary["pooled_error"] = str(exc)
         emit("degrees_summary.json", summary, spec.config)

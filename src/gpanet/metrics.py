@@ -8,7 +8,7 @@ balls around the vertex position), not graph-distance balls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -19,6 +19,30 @@ from scipy.special import gammaln, zeta
 
 from .graph import EdgeKind, EvolvingGraph, _write_csv
 from .sphere import cap_area
+
+
+def json_ready(obj):
+    """Plain JSON values for a report, a container of reports or a value.
+
+    Dataclass and NamedTuple fields become dict keys, leaving out a field
+    set to None; arrays and tuples become lists, numpy scalars Python
+    scalars, and NaN and +-inf become None (JSON null).
+    """
+    if is_dataclass(obj) or hasattr(obj, "_fields"):
+        names = [f.name for f in fields(obj)] if is_dataclass(obj) else obj._fields
+        return {k: json_ready(getattr(obj, k)) for k in names
+                if getattr(obj, k) is not None}
+    if isinstance(obj, dict):
+        return {k: json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [json_ready(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 # ---------------------------------------------------------------------------
 # degree histograms and the analytic degree law
@@ -145,12 +169,7 @@ class DiameterReport:
     component_diameters: tuple[int, ...] | None = None
 
     def to_json_dict(self) -> dict:
-        d = {"diameter": self.diameter, "connected": self.connected,
-             "method": self.method, "mode": self.mode,
-             "n_components": self.n_components}
-        if self.component_diameters is not None:
-            d["component_diameters"] = list(self.component_diameters)
-        return d
+        return json_ready(self)
 
 
 def _diameter_bfs_all(csr, labels) -> np.ndarray:
@@ -279,10 +298,7 @@ class CommunityReport:
     satisfies: bool
 
     def to_json_dict(self) -> dict:
-        return {"center": self.center, "radius": self.radius, "size": self.size,
-                "connected": self.connected, "conductance": self.conductance,
-                "alpha": self.alpha, "beta": self.beta,
-                "size_cap": self.size_cap, "satisfies": self.satisfies}
+        return json_ready(self)
 
 
 def community_check(g: EvolvingGraph, v: int, R: float, alpha: float,
@@ -382,25 +398,7 @@ class ConcentrationReport:
     worst_t_mean_dev: float
 
     def to_json_dict(self) -> dict:
-        def clean(a):
-            return [None if not np.isfinite(x) else float(x) for x in np.ravel(a)]
-
-        def cleanf(x):
-            return None if not np.isfinite(x) else float(x)
-
-        return {
-            "times": self.times.tolist(), "a_r": self.a_r, "t_r": self.t_r,
-            "t_r_effective": self.t_r_effective, "t_r_clamped": self.t_r_clamped,
-            "n_probes": int(self.z_dev.shape[1]),
-            "z_dev": [clean(row) for row in self.z_dev],
-            "t_dev": [clean(row) for row in self.t_dev],
-            "z_mean_dev": clean(self.z_mean_dev),
-            "t_mean_dev": clean(self.t_mean_dev),
-            "worst_z_dev": cleanf(self.worst_z_dev),
-            "worst_t_dev": cleanf(self.worst_t_dev),
-            "worst_z_mean_dev": cleanf(self.worst_z_mean_dev),
-            "worst_t_mean_dev": cleanf(self.worst_t_mean_dev),
-        }
+        return {**json_ready(self), "n_probes": int(self.z_dev.shape[1])}
 
 
 def concentration_report(trace, cfg, t_r: float | None = None) -> ConcentrationReport:
@@ -409,7 +407,8 @@ def concentration_report(trace, cfg, t_r: float | None = None) -> ConcentrationR
     t_r is the first time the concentration regime is claimed to hold
     (derive it from the harness parameter rules); checkpoints before it
     still appear in the per-cell tables but not in the worst-case summary.
-    A t_r beyond the final checkpoint is clamped to it, with a flag.
+    A t_r beyond the final checkpoint is clamped to it, with a flag; a
+    non-finite t_r is an error.
     """
     times = np.asarray(trace.times, dtype=np.int64)
     if times.size == 0:
@@ -435,15 +434,13 @@ def concentration_report(trace, cfg, t_r: float | None = None) -> ConcentrationR
     z_mean_dev = occ.mean(axis=1) / z_target - 1.0
     t_mean_dev = mass.mean(axis=1) / t_target - 1.0
 
-    if t_r is None:
-        t_r = float(times[0])
-    t_r = float(t_r)
+    t_r = float(times[0] if t_r is None else t_r)
+    if not math.isfinite(t_r):
+        raise ValueError("t_r must be finite")
     clamped = t_r > times[-1]
     threshold = min(t_r, float(times[-1]))
     t_r_eff = int(threshold)
     late = times.astype(np.float64) >= threshold
-    if not late.any():
-        late = times == times[-1]
 
     def worst(a):
         a = np.abs(a[late])
@@ -485,18 +482,7 @@ class ExpanderScanReport:
         return int((self.flags[ri] != FLAG_OK).sum())
 
     def to_json_dict(self) -> dict:
-        def clean(row):
-            return [None if not np.isfinite(x) else float(x) for x in row]
-
-        return {
-            "radii": list(self.radii),
-            "centers": self.centers.tolist(),
-            "sizes": self.sizes.tolist(),
-            "conductance": [clean(row) for row in self.conductance],
-            "flags": self.flags.tolist(),
-            "min_phi": clean(self.min_phi),
-            "median_phi": clean(self.median_phi),
-        }
+        return json_ready(self)
 
 
 def expander_scan(g: EvolvingGraph, v_sample, R_list) -> ExpanderScanReport:

@@ -21,7 +21,7 @@ import numpy as np
 from .capindex import CapIndex, _StaticCapQuery
 from .graph import MODEL_NAMES as MODELS
 from .graph import EdgeKind, EvolvingGraph, _write_csv
-from .sphere import SpherePoint, _check_radius, as_unit_vectors, sample_uniform
+from .sphere import SpherePoint, _check_radius, sample_uniform, to_angles, unit_rows
 
 # fixed probe placement stream, independent of the run seed so that traces
 # from different runs are comparable
@@ -93,24 +93,17 @@ class ModelConfig:
             pts = self.probes
             if isinstance(pts, (list, tuple)) and pts and isinstance(pts[0], SpherePoint):
                 pts = np.stack([p.vec for p in pts])
-            pts = np.atleast_2d(as_unit_vectors(pts)).astype(np.float64)
-            norms = np.einsum("ij,ij->i", pts, pts)
-            if np.any(np.abs(norms - 1.0) > 1e-9):
-                raise ValueError("probes must be unit vectors")
-            set_("probes", pts)
+            set_("probes", unit_rows(pts, "probes").copy())
         cps = tuple(int(t) for t in self.checkpoint_times)
         if any(t < 1 or t > self.n for t in cps):
             raise ValueError("checkpoint times must lie in [1, n]")
         set_("checkpoint_times", tuple(sorted(set(cps))))
 
     def to_json_dict(self) -> dict:
-        z = np.clip(self.probes[:, 2], -1.0, 1.0)
-        colat = np.arccos(z)
-        lon = np.arctan2(self.probes[:, 1], self.probes[:, 0]) % (2.0 * np.pi)
         return {
             "model": self.model, "n": self.n, "m": self.m, "xi": self.xi,
             "r": self.r, "seed": self.seed, "delta": self.delta,
-            "probes": [[float(a), float(b)] for a, b in zip(colat, lon)],
+            "probes": np.stack(to_angles(self.probes), axis=1).tolist(),
             "checkpoint_times": list(self.checkpoint_times),
         }
 

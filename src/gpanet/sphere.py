@@ -62,11 +62,11 @@ class SpherePoint:
 
     @property
     def colat(self) -> float:
-        return float(np.arccos(np.clip(self.vec[2], -1.0, 1.0)))
+        return float(to_angles(self.vec)[0])
 
     @property
     def lon(self) -> float:
-        return float(np.arctan2(self.vec[1], self.vec[0]) % (2.0 * np.pi))
+        return float(to_angles(self.vec)[1])
 
     def distance_to(self, other: "SpherePoint") -> float:
         return float(angular_distance(self.vec, other.vec))
@@ -80,6 +80,21 @@ def as_unit_vectors(p) -> np.ndarray:
     if v.shape[-1] != 3:
         raise ValueError(f"expected trailing dimension 3, got shape {v.shape}")
     return v
+
+
+def unit_rows(p, what: str) -> np.ndarray:
+    """p as an (n, 3) float64 array of unit vectors; a lone point is one row."""
+    v = np.atleast_2d(as_unit_vectors(p))
+    if v.ndim != 2 or np.any(np.abs(np.einsum("ij,ij->i", v, v) - 1.0) > 1e-9):
+        raise ValueError(f"{what} must be an (n, 3) array of unit vectors")
+    return v
+
+
+def to_angles(points) -> tuple[np.ndarray, np.ndarray]:
+    """Colatitude in [0, pi] and longitude in [0, 2pi) of unit vectors (..., 3)."""
+    colat = np.arccos(np.clip(points[..., 2], -1.0, 1.0))
+    lon = np.arctan2(points[..., 1], points[..., 0]) % (2.0 * np.pi)
+    return colat, lon
 
 
 def angular_distance(p, q):

@@ -7,6 +7,15 @@ from gpanet.cli import cli_main
 from gpanet.harness import ExperimentSpec, run_experiment
 from gpanet.models import ModelConfig, default_probes
 
+from test_golden import ANALYSIS_ARGV, DIAMETER_ARGV, experiment_spec
+
+
+def strict_loads(text):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    def reject(name):
+        raise ValueError(f"{name} is not strict JSON")
+    return json.loads(text, parse_constant=reject)
+
 
 def run(capsys, *argv):
     code = cli_main(list(argv))
@@ -154,6 +163,19 @@ class TestAnalysisCommands:
         assert code == 1
         assert json.loads(out)["error"] == "trace has no probes"
 
+    @pytest.mark.parametrize("t_r", ["inf", "-inf", "nan"])
+    def test_concentration_non_finite_t_r_fails(self, capsys, t_r):
+        code, out, _ = run(capsys, "concentration", *GEN, f"--t-r={t_r}", "--json")
+        assert code == 1
+        assert strict_loads(out) == {"error": "t_r must be finite",
+                                     "command": "concentration"}
+
+    @pytest.mark.parametrize("R", ["-0.2", "nan"])
+    def test_communities_bad_radius_fails(self, capsys, R):
+        code, out, _ = run(capsys, "communities", *GEN, f"--R={R}", "--json")
+        assert code == 1
+        assert "radius R must be finite" in strict_loads(out)["error"]
+
 
 class TestExperimentCommand:
     def test_runs_spec_file(self, capsys, tmp_path):
@@ -170,6 +192,24 @@ class TestExperimentCommand:
         assert index["errors"] == []
         assert (out_dir / "index.json").exists()
         assert (out_dir / "degrees_summary.json").exists()
+
+    @pytest.mark.parametrize("spec, names", [
+        ([1, 2], "JSON object"),
+        ({"seeds": [1], "analyses": ["tree"], "out_dir": "x"}, "'config'"),
+        ({"config": {}, "seeds": 5}, "'seeds'"),
+        ({"config": {}, "seeds": [1], "analyses": ["degrees"], "out_dir": "x",
+          "options": {"degrees": 5}}, "'options' must be an object of objects"),
+    ])
+    def test_malformed_spec_fails(self, capsys, tmp_path, spec, names):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        argv = ["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "o")]
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 1
+        err = strict_loads(out)
+        assert err["command"] == "experiment" and names in err["error"]
+        code, _, stderr = run(capsys, *argv)
+        assert code == 1 and stderr.startswith("error: ") and names in stderr
 
     def test_missing_spec_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "experiment", "--spec",
@@ -224,6 +264,38 @@ class TestHarnessParity:
                                       options={"expander": {"centers": 5}}))
         harness = json.loads((tmp_path / "expander_seed4.json").read_text())
         assert cli["radii"] == harness["radii"] == [2.0, math.pi]
+
+
+class TestStrictJson:
+    """Every --json output and every pinned experiment artifact parses as
+    strict JSON: no NaN or Infinity constants."""
+
+    @pytest.mark.parametrize("argv", [
+        *(ANALYSIS_ARGV[name] for name in sorted(ANALYSIS_ARGV)),
+        *(["diameter", *DIAMETER_ARGV[name], "--xi", "1"] for name in sorted(DIAMETER_ARGV)),
+        ["params", "--n", "1000", "--xi", "1", "--c0", "1", "--c1", "0.5"],
+        ["concentration", *GEN, "--probes", "3", "--t-r", "1e9"],
+        ["degrees", *GEN, "--kmin", "40"],
+    ], ids=lambda argv: argv[0])
+    def test_cli_json_output(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("GPANET_OUT", raising=False)
+        _, out, _ = run(capsys, *argv, "--json")
+        strict_loads(out)
+
+    def test_generate_and_experiment_output(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "generate", *GEN, "--out", str(tmp_path / "g"), "--json")
+        assert code == 0
+        strict_loads(out)
+        strict_loads((tmp_path / "g" / "config.json").read_text())
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(experiment_spec(tmp_path / "e").to_json_dict()))
+        code, out, _ = run(capsys, "experiment", "--spec", str(spec_path), "--json")
+        assert code == 0
+        assert strict_loads(out)["errors"] == []
+        names = sorted(p.name for p in (tmp_path / "e").glob("*.json"))
+        assert len(names) == 14
+        for name in names:
+            strict_loads((tmp_path / "e" / name).read_text())
 
 
 class TestUsageErrors:

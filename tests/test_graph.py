@@ -60,6 +60,7 @@ def test_vertex_record_fields():
     assert rec.id == 1
     assert rec.plain_degree == 2  # one edge to 0, plus one loop counting 1
     assert rec.birth_time == 2
+    assert g.birth_time.tolist() == [1, 2]  # always id + 1
     assert rec.isolated_birth is True
     assert rec.total_degree == 2
     np.testing.assert_allclose(np.linalg.norm(rec.position), 1.0)

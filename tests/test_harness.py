@@ -6,8 +6,8 @@ import pytest
 
 from gpanet.harness import (ANALYSES, DerivedParameters, ExperimentSpec,
                             community_exponent, derive_parameters,
-                            exponent_window_valid, run_experiment)
-from gpanet.models import ModelConfig, default_probes
+                            exponent_window_valid, json_text, run_experiment)
+from gpanet.models import ModelConfig, default_probes, generate
 
 
 class TestDeriveParameters:
@@ -138,6 +138,64 @@ class TestExperimentSpec:
         assert back.analyses == spec.analyses
         assert back.options == spec.options
         assert back.config.to_json_dict() == spec.config.to_json_dict()
+
+
+def spec_dict(**changes):
+    d = ExperimentSpec(tiny_config(), (5,), ("degrees",), "out").to_json_dict()
+    d.update(changes)
+    return {k: v for k, v in d.items() if v is not None}
+
+
+class TestSpecFromJson:
+    def test_options_may_be_left_out(self):
+        spec = ExperimentSpec.from_json_dict(spec_dict(options=None))
+        assert spec.options == {} and spec.seeds == (5,)
+
+    @pytest.mark.parametrize("bad, message", [
+        (["not", "an", "object"], "experiment spec must be a JSON object"),
+        (spec_dict(config=None), "experiment spec has no 'config'"),
+        (spec_dict(seeds=None), "experiment spec has no 'seeds'"),
+        (spec_dict(out_dir=None), "experiment spec has no 'out_dir'"),
+        (spec_dict(seeds=5), "'seeds' must be a list of integers"),
+        (spec_dict(seeds=[[1]]), "'seeds' must be a list of integers"),
+        (spec_dict(analyses="degrees"), "'analyses' must be a list of strings"),
+        (spec_dict(out_dir=7), "'out_dir' must be a string"),
+        (spec_dict(config=[1]), "'config' must be an object"),
+        (spec_dict(options={"degrees": 5}), "'options' must be an object of objects"),
+        (spec_dict(config={"n": 10}), "'config' has no 'model'"),
+        (spec_dict(config={**tiny_config().to_json_dict(), "probes": 5}),
+         "'config' is ill-typed"),
+    ])
+    def test_malformed_spec_names_the_key(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec.from_json_dict(bad)
+
+
+def test_json_text_rejects_non_finite():
+    assert json_text({"b": [1, None], "a": 0.5}) == \
+        '{\n  "a": 0.5,\n  "b": [\n    1,\n    null\n  ]\n}'
+    for x in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            json_text({"x": x})
+
+
+class TestCommunitiesRadius:
+    @pytest.fixture(scope="class")
+    def grown(self):
+        cfg = tiny_config(model="base")
+        return (*generate(cfg), cfg)
+
+    @pytest.mark.parametrize("R", [-0.2, float("nan"), float("inf")])
+    def test_bad_radius_fails_before_any_centre(self, grown, R):
+        g, trace, cfg = grown
+        with pytest.raises(ValueError, match="radius R must be finite and nonnegative"):
+            ANALYSES["communities"].run(g, trace, cfg, {"R": R}, None)
+
+    def test_radius_above_pi_is_clamped(self, grown):
+        g, trace, cfg = grown
+        d = ANALYSES["communities"].run(g, trace, cfg, {"R": 4.0, "centers": 3}, None)
+        assert d["R"] == 4.0 and d["n_checked"] == 3
+        assert all(r["error"] == "conductance undefined for S = V" for r in d["reports"])
 
 
 class TestRunExperiment:

@@ -10,15 +10,48 @@ from gpanet.graph import EdgeKind, EvolvingGraph
 from gpanet.metrics import (FLAG_ALL, FLAG_LOOP_ONLY, FLAG_OK,
                             FLAG_ZERO_VOLUME, CommunityReport,
                             ConcentrationReport, DegreeHistogram,
-                            analytic_fk, community_check, concentration_report,
+                            DiameterReport, PowerLawFit, analytic_fk,
+                            community_check, concentration_report,
                             degree_histogram, diameter, expander_scan,
-                            fit_power_law_exponent, long_degree_sum,
-                            r_neighborhood, urt_stats)
+                            fit_power_law_exponent, json_ready,
+                            long_degree_sum, r_neighborhood, urt_stats)
 from gpanet.models import GenerationTrace, ModelConfig, default_probes, generate
 from gpanet.sphere import cap_area, sample_uniform
 
 from oracles import (cap_members_scan, component_diameters_scan,
                      conductance_scan, connected_scan, diameter_scan, sample_zipf)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+class TestJsonReady:
+    def test_report_fields_become_plain_keys(self):
+        rep = DiameterReport(diameter=np.int64(4), connected=np.bool_(True),
+                             method="bfs-all", mode="exact", n_components=1)
+        d = json_ready(rep)
+        # the None field component_diameters is left out
+        assert d == {"diameter": 4, "connected": True, "method": "bfs-all",
+                     "mode": "exact", "n_components": 1}
+        assert type(d["diameter"]) is int and type(d["connected"]) is bool
+        rep = DiameterReport(3, False, "bfs-all", "component-wise", 2, (3, 1))
+        assert json_ready(rep)["component_diameters"] == [3, 1]
+
+    def test_non_finite_numbers_become_null(self):
+        fit = PowerLawFit(exponent=np.float64(2.5), stderr=float("inf"),
+                          k_min=3, tail_count=np.int32(120))
+        got = json_ready({"fit": fit, "nan": float("nan"), "neg": -np.inf,
+                          "table": np.array([[1.0, np.nan], [np.inf, 0.5]]),
+                          "pair": (np.float32(0.25), "x"), "none": None})
+        assert got == {"fit": {"exponent": 2.5, "stderr": None, "k_min": 3,
+                               "tail_count": 120},
+                       "nan": None, "neg": None,
+                       "table": [[1.0, None], [None, 0.5]],
+                       "pair": [0.25, "x"], "none": None}
+        assert type(got["fit"]["tail_count"]) is int
+        text = json.dumps(got, allow_nan=False)
+        assert json.loads(text, parse_constant=_reject_constant) == got
 
 
 def make_graph(src, dst, kind=None, n=None, model="base", seed=0, **kw):
@@ -565,6 +598,19 @@ class TestConcentration:
         r0 = ModelConfig(model="base", n=10, m=2, xi=1.0, r=0.0, seed=0)
         with pytest.raises(ValueError):
             concentration_report(make_trace([5], [[1, 1]], [[6, 6]]), r0)
+        tr = make_trace([10, 20], [[5, 5], [10, 10]], [[30, 30], [60, 60]])
+        for t_r in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="t_r must be finite"):
+                concentration_report(tr, cfg, t_r=t_r)
+
+    def test_json_dict_is_strict(self):
+        cfg = half_sphere_cfg()
+        tr = make_trace([10, 20], [[0, 5], [10, 8]], [[0, 30], [60, 50]])
+        d = concentration_report(tr, cfg).to_json_dict()
+        assert d["n_probes"] == 2
+        assert d["z_dev"][0][0] is None  # empty cap: undefined, not zero
+        assert d["z_dev"][1] == pytest.approx([0.0, -0.2])
+        json.loads(json.dumps(d, allow_nan=False), parse_constant=_reject_constant)
 
     def test_generated_trace_integration(self):
         probes = default_probes(3)

@@ -9,6 +9,8 @@ from gpanet.sphere import (
     angular_distance,
     cap_area,
     sample_uniform,
+    to_angles,
+    unit_rows,
 )
 
 
@@ -50,6 +52,37 @@ class TestSpherePoint:
         p = SpherePoint.from_angles(0.5, 0.5)
         with pytest.raises(ValueError):
             p.vec[0] = 2.0
+
+
+class TestToAngles:
+    def test_inverts_from_angles(self):
+        pts = [SpherePoint.from_angles(c, lon)
+               for c, lon in ((0.3, 0.1), (1.2, 3.5), (2.9, 6.0))]
+        colat, lon = to_angles(np.stack([p.vec for p in pts]))
+        np.testing.assert_allclose(colat, [0.3, 1.2, 2.9], atol=1e-12)
+        np.testing.assert_allclose(lon, [0.1, 3.5, 6.0], atol=1e-12)
+        assert [p.colat for p in pts] == colat.tolist()
+        assert [p.lon for p in pts] == lon.tolist()
+
+    def test_poles_and_range(self):
+        colat, lon = to_angles(np.array([[0.0, 0.0, 1.0], [0.0, -0.0, -1.0],
+                                         [0.0, -1.0, 0.0]]))
+        assert colat.tolist() == [0.0, np.pi, np.pi / 2]
+        assert lon[2] == pytest.approx(1.5 * np.pi)
+        assert np.all((lon >= 0.0) & (lon < 2.0 * np.pi))
+
+
+class TestUnitRows:
+    def test_accepts_rows_and_a_lone_point(self):
+        assert unit_rows(np.array([[0.0, 0.0, 1.0]]), "p").shape == (1, 3)
+        assert unit_rows(SpherePoint.from_angles(0.5, 0.5), "p").shape == (1, 3)
+        assert unit_rows(np.empty((0, 3)), "p").shape == (0, 3)
+
+    def test_rejects_non_unit_and_bad_shape(self):
+        with pytest.raises(ValueError, match="probes must be an"):
+            unit_rows(np.array([[0.0, 0.0, 2.0]]), "probes")
+        with pytest.raises(ValueError):
+            unit_rows(np.zeros((2, 2, 3)), "probes")
 
 
 class TestAngularDistance:
