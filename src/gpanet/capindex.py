@@ -7,6 +7,11 @@ window in each, and post-filters the candidates with the closed-ball
 predicate dot(p, center) >= cos(R) - tol.  The window is conservative
 (query radius padded by 2e-6 rad), so the candidate set is a provable
 superset and the filter makes the result exact.
+
+Queries run in blocks: one call takes many centres, computes every centre's
+slot ranges at once, gathers the rows of all of them as one index array and
+filters them with one vectorised dot product.  With a birth-time limit only
+the prefix of each cell that was born in time is gathered.
 """
 
 from __future__ import annotations
@@ -22,13 +27,19 @@ DOT_TOL = 1e-12
 _PAD = 2e-6
 
 
+def _spans(first: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(first[i], end[i]) over i."""
+    length = end - first
+    shift = (first + length - length.cumsum()).repeat(length)
+    return shift + np.arange(shift.size)
+
+
 class _StaticCapQuery:
     """Cap queries over a fixed point set, filtered by birth order.
 
     The generators use it directly: all positions are known up front, so
     rows are grouped by cell once (a stable sort keeps each group ascending
-    in row id) and a query at time t is a handful of slice gathers plus a
-    rows < t mask.
+    in row id), and the rows of a cell born before t are a prefix of it.
     """
 
     def __init__(self, points: np.ndarray, cell_angle: float):
@@ -36,7 +47,7 @@ class _StaticCapQuery:
         if not np.isfinite(cell_angle) or cell_angle <= 0.0:
             raise ValueError(f"cell_angle must be positive, got {cell_angle!r}")
         self.cell_angle = cell_angle
-        self._pts = points
+        self._n = n = points.shape[0]
         self._nbands = int(np.clip(np.ceil(np.pi / cell_angle), 1, 4096))
         self._band_h = np.pi / self._nbands
         mids = (np.arange(self._nbands) + 0.5) * self._band_h
@@ -53,60 +64,82 @@ class _StaticCapQuery:
         self._order = np.argsort(slots, kind="stable")
         counts = np.bincount(slots, minlength=int(self._band_off[-1]))
         self._start = np.concatenate([[0], np.cumsum(counts)])
+        # ascending (slot, row) key of each grid position, and the coordinate
+        # columns in grid order
+        self._key = slots[self._order] * n + self._order
+        self._cols = np.ascontiguousarray(points[self._order].T)
 
-    def _covered_ranges(self, center: np.ndarray, R: float) -> list[tuple[int, int]]:
-        """Ascending, disjoint half-open slot ranges that cover the cap (center, R).
+    def _slot_ranges(self, centers: np.ndarray, R: float):
+        """(owner, first, end): half-open slot ranges that cover the caps (centers[i], R).
 
-        Conservative: every point within R of center lies in one of the
-        returned slots, and a gather over them lists rows in grid order.
-        The padded cap of radius rho = R + _PAD spans the colatitudes
-        theta_c +- rho and, unless it holds a pole, the longitudes
-        phi_c +- arcsin(sin rho / sin theta_c), its width where meridians
-        touch it.  Each band in the colatitude range takes the cells of that
-        one window, or the whole band when the window covers it or the cap
-        holds a pole.  The pad carries over into longitude at least 1:1:
+        Nonempty, ordered by owner, and ascending and disjoint within each
+        owner.  Conservative: every point within R of a centre
+        lies in one of that centre's slots, and a gather over them lists
+        rows in grid order.  The padded cap of radius rho = R + _PAD spans
+        the colatitudes theta_c +- rho and, unless it holds a pole, the
+        longitudes phi_c +- arcsin(sin rho / sin theta_c), its width where
+        meridians touch it; a cap that holds a pole spans every longitude.
+        Each band in the colatitude range takes the cells of that one
+        window as two ranges, the part past the 0/2pi seam first.  The pad
+        carries over into longitude at least 1:1:
         d(dphi)/d(rho) = cos rho / sqrt(sin^2 theta_c - sin^2 rho) >= 1.
         """
-        theta_c = math.acos(min(1.0, max(-1.0, float(center[2]))))
         rp = min(R + _PAD, math.pi)
-        b0 = max(0, int((theta_c - rp) / self._band_h))
-        b1 = min(self._nbands - 1, int((theta_c + rp) / self._band_h))
-        off = self._band_off
-        if not rp < theta_c < math.pi - rp:  # the cap holds a pole
-            return [(int(off[b0]), int(off[b1 + 1]))]
-        dphi = math.asin(min(1.0, math.sin(rp) / math.sin(theta_c)))
-        phi_c = math.atan2(float(center[1]), float(center[0])) % (2.0 * math.pi)
-        ranges: list[tuple[int, int]] = []
-        for o, nc, w in zip(off[b0:b1 + 1].tolist(), self._ncells[b0:b1 + 1].tolist(),
-                            self._cell_w[b0:b1 + 1].tolist()):
-            j0 = math.floor((phi_c - dphi) / w)
-            j1 = math.floor((phi_c + dphi) / w)
-            a, b = j0 % nc, j1 % nc
-            if j1 - j0 + 1 >= nc:
-                ranges.append((o, o + nc))
-            elif a <= b:
-                ranges.append((o + a, o + b + 1))
-            else:  # window wraps the 0/2pi seam
-                ranges += [(o, o + b + 1), (o + a, o + nc)]
-        return ranges
+        theta_c = np.arccos(np.minimum(np.maximum(centers[:, 2], -1.0), 1.0))
+        phi_c = np.arctan2(centers[:, 1], centers[:, 0]) % (2.0 * math.pi)
+        # sin theta_c <= sin rp only for a cap that holds a pole
+        dphi = np.arcsin(math.sin(rp) / np.maximum(np.sin(theta_c), math.sin(rp)))
+        dphi[np.abs(centers[:, 2]) >= math.cos(rp)] = math.pi
+        b0 = np.maximum(((theta_c - rp) / self._band_h).astype(np.int64), 0)
+        b1 = np.minimum(((theta_c + rp) / self._band_h).astype(np.int64), self._nbands - 1)
+        band = _spans(b0, b1 + 1)
+        owner = np.arange(centers.shape[0]).repeat(b1 + 1 - b0)
+        off, nc, w = self._band_off[band], self._ncells[band], self._cell_w[band]
+        j0 = np.floor((phi_c - dphi)[owner] / w)
+        j1 = np.floor((phi_c + dphi)[owner] / w)
+        # the window is cells a .. e-1 of the band, taken mod nc: [a, min(e, nc))
+        # and, past the seam, [0, e - nc), which comes first in slot order
+        a = (j0 % nc).astype(np.int64)
+        e = a + np.minimum(j1 - j0 + 1, nc).astype(np.int64)
+        first = np.empty((band.size, 2), dtype=np.int64)
+        end = np.empty_like(first)
+        first[:, 0] = off
+        end[:, 0] = off + np.maximum(e - nc, 0)
+        first[:, 1] = off + a
+        end[:, 1] = off + np.minimum(e, nc)
+        first, end = first.ravel(), end.ravel()
+        nonempty = first < end
+        return owner.repeat(2)[nonempty], first[nonempty], end[nonempty]
+
+    def members(self, centers: np.ndarray, R: float, before=None):
+        """Rows within angular distance R of each centre, as (rows, ptr).
+
+        The rows of centre i are rows[ptr[i]:ptr[i + 1]], in grid order.
+        before (an int, or one per centre) keeps only rows < before.
+        """
+        centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
+        owner, first, end = self._slot_ranges(centers, R)
+        if before is None:
+            first, end = self._start[first], self._start[end]
+        else:
+            # a cell lists its rows ascending, so those < before are a prefix
+            slot = _spans(first, end)
+            owner = owner.repeat(end - first)
+            limit = np.minimum(np.maximum(before, 0), self._n)
+            first = self._start[slot]
+            end = self._key.searchsorted(slot * self._n + (limit[owner] if limit.ndim else limit))
+        pos = _spans(first, end)
+        # the gathered rows are grouped by owner: repeat each centre over its group
+        per = np.bincount(owner, weights=end - first, minlength=centers.shape[0]).astype(np.int64)
+        dot = self._cols.take(pos, axis=1)
+        dot *= centers.T.repeat(per, axis=1)
+        keep = np.flatnonzero(dot.sum(axis=0) >= np.cos(R) - DOT_TOL)
+        ptr = keep.searchsorted(np.concatenate([[0], per.cumsum()]))
+        return self._order[pos[keep]], ptr
 
     def query(self, center: np.ndarray, R: float, before: int) -> np.ndarray:
         """Rows < before within angular distance R of center (grid order)."""
-        chunks = []
-        start = self._start
-        order = self._order
-        for a, b in self._covered_ranges(center, R):
-            s, e = start[a], start[b]
-            if e > s:
-                chunks.append(order[s:e])
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        rows = np.concatenate(chunks)
-        rows = rows[rows < before]
-        if rows.size == 0:
-            return rows
-        keep = self._pts[rows] @ center >= np.cos(R) - DOT_TOL
-        return rows[keep]
+        return self.members(center, R, before)[0]
 
 
 class CapIndex(_StaticCapQuery):
@@ -130,4 +163,4 @@ class CapIndex(_StaticCapQuery):
         """
         center = as_unit_vectors(center)
         R = _check_radius(R)
-        return np.sort(self.query(center, R, self._pts.shape[0]))
+        return np.sort(self.members(center, R)[0])

@@ -243,8 +243,11 @@ def _diameter(g, trace, cfg: ModelConfig, opts: dict, save) -> dict:
 
 def _centers(cfg: ModelConfig, k, salt: int) -> np.ndarray:
     """min(k, n) distinct vertex ids, sorted, from the stream (cfg.seed, salt)."""
+    k = int(k)
+    if k < 0:
+        raise ValueError(f"centers must be >= 0, got {k}")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, salt]))
-    return np.sort(rng.choice(cfg.n, size=min(int(k), cfg.n), replace=False))
+    return np.sort(rng.choice(cfg.n, size=min(k, cfg.n), replace=False))
 
 
 def _communities(g, trace, cfg: ModelConfig, opts: dict, save) -> dict:

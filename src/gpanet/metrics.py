@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.special import gammaln, zeta
 
 from .graph import EdgeKind, EvolvingGraph, _write_csv
-from .sphere import cap_area
+from .sphere import _check_radius, cap_area
 
 
 def json_ready(obj):
@@ -513,8 +513,9 @@ def expander_scan(g: EvolvingGraph, v_sample, R_list) -> ExpanderScanReport:
     phi = np.full((nr, nc), np.nan)
     flags = np.full((nr, nc), FLAG_OK, dtype=object)
     for ri, R in enumerate(radii):
-        for ci, v in enumerate(centers):
-            members = r_neighborhood(g, int(v), R)
+        rows, ptr = g.cap_index.members(g.positions[centers], _check_radius(min(R, np.pi)))
+        for ci in range(nc):
+            members = rows[ptr[ci]:ptr[ci + 1]]
             sizes[ri, ci] = members.size
             if members.size == 0:
                 flags[ri, ci] = FLAG_EMPTY

@@ -28,10 +28,16 @@ from .sphere import SpherePoint, _check_radius, sample_uniform, to_angles, unit_
 DEFAULT_PROBE_SEED = 1729
 
 
+# candidate rows fetched per block of newborns; the block adapts to this
+_BLOCK_ROWS = 1 << 13
+
+
 def default_probes(k: int, seed: int = DEFAULT_PROBE_SEED) -> np.ndarray:
+    k = int(k)
+    if k < 0:
+        raise ValueError(f"probes must be >= 0, got {k}")
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    pts = sample_uniform(rng, int(k))
-    return pts.reshape(int(k), 3)
+    return sample_uniform(rng, k).reshape(k, 3)
 
 
 def _canon_model(model: str) -> str:
@@ -161,8 +167,8 @@ def pa_sample_contacts(g: EvolvingGraph, idx: CapIndex, x, m: int, delta: int,
 
 def _draw(weights: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     """m i.i.d. indices into weights, index i with probability w_i / sum(w)."""
-    cum = np.cumsum(weights, dtype=np.int64)
-    return np.searchsorted(cum, rng.random(m) * cum[-1], side="right")
+    cum = weights.cumsum(dtype=np.int64)
+    return cum.searchsorted(rng.random(m) * cum[-1], side="right")
 
 
 def _auto_cell(r: float, n: int) -> float:
@@ -177,9 +183,12 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
     model = cfg.model
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     pos = sample_uniform(rng, n).reshape(n, 3)
-    # positions are fixed before any edges exist, so the cap structure can be
-    # built once; queries filter by birth order
+    # positions are fixed before any edges exist, so every newborn's candidate
+    # set is too: the cap structure is built once, and the candidates of a
+    # block of newborns are fetched in one query that filters by birth order
     caps = _StaticCapQuery(pos, _auto_cell(r, n))
+    lo = hi = 0
+    block = 1
 
     cap_edges = 2 * m * n + n
     src = np.empty(cap_edges, dtype=np.int64)
@@ -208,8 +217,13 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
     cos_r = np.cos(r)
 
     for t in range(n):
+        if t == hi:
+            lo, hi = t, min(n, t + block)
+            cands, at = caps.members(pos[lo:hi], r, np.arange(lo, hi))
+            block = min(2 * block, max(1, _BLOCK_ROWS * (hi - lo) // max(cands.size, 1)))
+            at = at.tolist()
+        cand = cands[at[t - lo]:at[t - lo + 1]]
         p = pos[t]
-        cand = caps.query(p, r, t) if t > 0 else np.empty(0, dtype=np.int64)
         if cand.size == 0:
             src[ne:ne + 2 * m] = t
             dst[ne:ne + 2 * m] = t
@@ -275,10 +289,10 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
 
         row = cp_row.get(t + 1)
         if row is not None and k_probes:
-            for pi in range(k_probes):
-                members = caps.query(probes[pi], r, t + 1)
-                occ[row, pi] = members.size
-                mass[row, pi] = plain[members].sum() + delta * members.size
+            members, mptr = caps.members(probes, r, t + 1)
+            occ[row] = np.diff(mptr)
+            held = np.concatenate([[0], plain[members].cumsum()])
+            mass[row] = held[mptr[1:]] - held[mptr[:-1]] + delta * occ[row]
 
     g = EvolvingGraph(model, pos, src[:ne], dst[:ne], kind[:ne],
                       flexible_loops=floops, isolated_birth=isolated, config=cfg)

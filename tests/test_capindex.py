@@ -145,18 +145,35 @@ class TestStaticQuery:
                    SpherePoint.from_angles(np.pi - eps, 5.0).vec]
         centers += [SpherePoint.from_angles(th, ph).vec
                     for th in (0.3, np.pi / 2, 2.9)
-                    for ph in (0.0, 1e-12, -1e-12, 2.0 * np.pi - 1e-9)]
+                    for ph in (0.0, 1e-12, -1e-12, 2.0 * np.pi - 1e-9, 3.0)]
+        centers = np.array(centers)
+        k = centers.shape[0]
+        times = np.array([0, 1, 200, n])
         for cell in (0.05, 0.3, 1.0):
             static = _StaticCapQuery(pts, cell)
             rank = np.empty(n, dtype=np.int64)
             rank[static._order] = np.arange(n)
-            for center in centers:
-                for R in (0.0, 0.05, np.pi / 2, 2.0, np.pi):
-                    ranges = static._covered_ranges(center, R)
-                    assert all(a < b for a, b in ranges), (cell, R)
-                    assert all(b <= a2 for (_, b), (a2, _) in zip(ranges, ranges[1:])), (cell, R)
-                    for t in (1, 200, n):
+            for R in (0.0, 0.05, np.pi / 2, 2.0, np.pi):
+                owner, first, end = static._slot_ranges(centers, R)
+                assert np.array_equal(np.unique(owner), np.arange(k)), (cell, R)
+                assert (np.diff(owner) >= 0).all(), (cell, R)
+                assert (first < end).all(), (cell, R)
+                same = owner[1:] == owner[:-1]
+                assert (end[:-1][same] <= first[1:][same]).all(), (cell, R)
+                # one call for all centres, each with its own time limit
+                for shift in range(times.size):
+                    before = times[(np.arange(k) + shift) % times.size]
+                    rows, ptr = static.members(centers, R, before)
+                    assert ptr[0] == 0 and ptr[-1] == rows.size
+                    for i, (center, t) in enumerate(zip(centers, before)):
                         want = cap_members_scan(pts[:t], np.arange(t), center, R)
                         want = want[np.argsort(rank[want])]
-                        got = static.query(center, R, t)
-                        assert np.array_equal(got, want), (cell, R, t)
+                        assert np.array_equal(rows[ptr[i]:ptr[i + 1]], want), (cell, R, t)
+                rows, ptr = static.members(centers, R)
+                for i, center in enumerate(centers):
+                    want = cap_members_scan(pts, np.arange(n), center, R)
+                    want = want[np.argsort(rank[want])]
+                    assert np.array_equal(rows[ptr[i]:ptr[i + 1]], want), (cell, R)
+                for before in (None, 0, n):
+                    rows, ptr = static.members(np.empty((0, 3)), R, before)
+                    assert rows.size == 0 and ptr.tolist() == [0]

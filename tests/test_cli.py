@@ -176,6 +176,15 @@ class TestAnalysisCommands:
         assert code == 1
         assert "radius R must be finite" in strict_loads(out)["error"]
 
+    @pytest.mark.parametrize("command,flag,count", [
+        ("expander", "--centers", "-3"), ("communities", "--centers", "-3"),
+        ("generate", "--probes", "-1"), ("concentration", "--probes", "-1")])
+    def test_negative_count_fails(self, capsys, command, flag, count):
+        code, out, _ = run(capsys, command, *GEN, flag, count, "--json")
+        assert code == 1
+        assert strict_loads(out) == {"error": f"{flag[2:]} must be >= 0, got {count}",
+                                     "command": command}
+
 
 class TestExperimentCommand:
     def test_runs_spec_file(self, capsys, tmp_path):

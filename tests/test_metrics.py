@@ -679,6 +679,36 @@ class TestExpanderScan:
                         want.conductance)
                     assert rep.sizes[ri, ci] == want.size
 
+    def test_matches_one_centre_at_a_time(self):
+        # the scan queries all centres of a radius at once; each cap must be
+        # the one r_neighborhood finds alone, R > pi clamped to pi
+        g, _ = generate(ModelConfig(model="base", n=400, m=2, xi=1.0, r=0.08,
+                                    seed=21))
+        assert g.isolated_birth.any()
+        centers = np.random.default_rng(4).choice(g.n, size=40, replace=False)
+        radii = [0.0, 0.08, 0.5, np.pi, 4.0]
+        rep = expander_scan(g, centers, radii)
+        total, vol_all = g.degree(), int(g.degree().sum())
+        loops = g.edge_src == g.edge_dst
+        loop_deg = np.bincount(g.edge_src[loops], minlength=g.n) + g.flexible_loops
+        for ri, R in enumerate(radii):
+            for ci, v in enumerate(centers):
+                members = r_neighborhood(g, int(v), R)
+                vol_s = int(total[members].sum())
+                if members.size == g.n:
+                    flag = FLAG_ALL
+                elif vol_s in (0, vol_all):
+                    flag = FLAG_ZERO_VOLUME
+                elif vol_s == int(loop_deg[members].sum()):
+                    flag = FLAG_LOOP_ONLY
+                else:
+                    flag = FLAG_OK
+                    assert rep.conductance[ri, ci] == g.conductance(members)
+                assert rep.sizes[ri, ci] == members.size, (R, v)
+                assert rep.flags[ri, ci] == flag, (R, v)
+        assert set(rep.flags[0]) >= {FLAG_OK, FLAG_LOOP_ONLY}
+        assert (rep.flags[3:] == FLAG_ALL).all()
+
     def test_input_validation(self):
         g = self.build_clustered()
         with pytest.raises(ValueError):
