@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .sphere import _check_radius, as_unit_vectors, to_angles, unit_rows
+from .sphere import _check_radius, to_angles, unit_rows
 
 # slack on the membership dot product; absorbs rounding of stored unit vectors
 DOT_TOL = 1e-12
@@ -85,8 +85,7 @@ class _StaticCapQuery:
         d(dphi)/d(rho) = cos rho / sqrt(sin^2 theta_c - sin^2 rho) >= 1.
         """
         rp = min(R + _PAD, math.pi)
-        theta_c = np.arccos(np.minimum(np.maximum(centers[:, 2], -1.0), 1.0))
-        phi_c = np.arctan2(centers[:, 1], centers[:, 0]) % (2.0 * math.pi)
+        theta_c, phi_c = to_angles(centers)
         # sin theta_c <= sin rp only for a cap that holds a pole
         dphi = np.arcsin(math.sin(rp) / np.maximum(np.sin(theta_c), math.sin(rp)))
         dphi[np.abs(centers[:, 2]) >= math.cos(rp)] = math.pi
@@ -161,6 +160,8 @@ class CapIndex(_StaticCapQuery):
 
         Closed ball: boundary points are included.
         """
-        center = as_unit_vectors(center)
+        center = unit_rows(center, "center")
+        if center.shape[0] != 1:
+            raise ValueError(f"center must be one unit vector, got {center.shape[0]} rows")
         R = _check_radius(R)
         return np.sort(self.members(center, R)[0])

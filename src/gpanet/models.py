@@ -9,6 +9,11 @@ edge to a uniformly random earlier vertex; the self-loop model gives each
 newborn delta flexible self-loops and rewires one loop of the newborn plus
 one loop of a uniformly chosen holder z into a flexible edge (degree-neutral
 for both).
+
+The loop records only the draws: each newborn's m contacts and the far end
+of its long or flexible edge.  The edge list is built from them after the
+loop, grouped by newborn in birth order: each newborn's m contacts in draw
+order (2m loops after an isolated birth), then its long or flexible edge.
 """
 
 from __future__ import annotations
@@ -190,15 +195,11 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
     lo = hi = 0
     block = 1
 
-    cap_edges = 2 * m * n + n
-    src = np.empty(cap_edges, dtype=np.int64)
-    dst = np.empty(cap_edges, dtype=np.int64)
-    kind = np.empty(cap_edges, dtype=np.int8)
-    ne = 0
-
+    # the draws: m contacts per newborn (t itself after an isolated birth) and
+    # the far end of the long or flexible edge of each newborn t >= 1
+    contacts = np.empty((n, m), dtype=np.int64)
+    partner = np.zeros(n, dtype=np.int64)
     plain = np.zeros(n, dtype=np.int64)
-    long_deg = np.zeros(n, dtype=np.int64)
-    flex_edge = np.zeros(n, dtype=np.int64)
     floops = np.zeros(n, dtype=np.int64)
     isolated = np.zeros(n, dtype=bool)
 
@@ -208,13 +209,10 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
 
     probes = cfg.probes
     k_probes = probes.shape[0]
-    cp_set = set(cfg.checkpoint_times)
-    times = np.array(sorted(cp_set), dtype=np.int64)
+    times = np.array(cfg.checkpoint_times, dtype=np.int64)
     occ = np.zeros((times.size, k_probes), dtype=np.int64)
     mass = np.zeros((times.size, k_probes), dtype=np.int64)
-    iso_in_cap = np.zeros(k_probes, dtype=bool)
     cp_row = {int(t): i for i, t in enumerate(times)}
-    cos_r = np.cos(r)
 
     for t in range(n):
         if t == hi:
@@ -223,36 +221,17 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
             block = min(2 * block, max(1, _BLOCK_ROWS * (hi - lo) // max(cands.size, 1)))
             at = at.tolist()
         cand = cands[at[t - lo]:at[t - lo + 1]]
-        p = pos[t]
         if cand.size == 0:
-            src[ne:ne + 2 * m] = t
-            dst[ne:ne + 2 * m] = t
-            kind[ne:ne + 2 * m] = EdgeKind.PLAIN
-            ne += 2 * m
+            contacts[t] = t
             plain[t] += 2 * m
             isolated[t] = True
-            if k_probes:
-                iso_in_cap |= probes @ p >= cos_r
-            inc = 2 * m
         else:
-            contacts = cand[_draw(plain[cand] + delta, m, rng)]
-            src[ne:ne + m] = t
-            dst[ne:ne + m] = contacts
-            kind[ne:ne + m] = EdgeKind.PLAIN
-            ne += m
-            np.add.at(plain, contacts, 1)
+            drawn = contacts[t] = cand[_draw(plain[cand] + delta, m, rng)]
+            np.add.at(plain, drawn, 1)
             plain[t] += m
-            inc = 2 * m
 
         if model == "hybrid" and t > 0:
-            z = int(rng.integers(0, t))
-            src[ne] = t
-            dst[ne] = z
-            kind[ne] = EdgeKind.LONG
-            ne += 1
-            long_deg[t] += 1
-            long_deg[z] += 1
-            inc += 2
+            partner[t] = rng.integers(0, t)
 
         if model == "selfloop":
             floops[t] = delta
@@ -260,32 +239,17 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
                 if hcount <= 0:
                     raise AssertionError("flexible-loop holder set empty at rewiring time")
                 j = int(rng.integers(0, hcount))
-                z = int(holders[j])
+                z = partner[t] = holders[j]
                 # one loop of z and one of the newborn become a flexible edge;
                 # both degrees are unchanged
                 floops[z] -= 1
                 if floops[z] == 0:
-                    last = holders[hcount - 1]
-                    holders[j] = last
                     hcount -= 1
+                    holders[j] = holders[hcount]
                 floops[t] -= 1
-                src[ne] = t
-                dst[ne] = z
-                kind[ne] = EdgeKind.FLEXIBLE
-                ne += 1
-                flex_edge[t] += 1
-                flex_edge[z] += 1
-            inc += delta
-            if floops[t] > 0:
-                holders[hcount] = t
-                hcount += 1
-
-        expect = 2 * m
-        if model == "hybrid" and t > 0:
-            expect += 2
-        elif model == "selfloop":
-            expect += delta
-        assert inc == expect, f"step {t}: degree increment {inc} != {expect}"
+            # delta >= 2, so the newborn still holds a loop
+            holders[hcount] = t
+            hcount += 1
 
         row = cp_row.get(t + 1)
         if row is not None and k_probes:
@@ -294,15 +258,34 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
             held = np.concatenate([[0], plain[members].cumsum()])
             mass[row] = held[mptr[1:]] - held[mptr[:-1]] + delta * occ[row]
 
-    g = EvolvingGraph(model, pos, src[:ne], dst[:ne], kind[:ne],
+    # the edge list, in the order of the module docstring; an isolated birth's
+    # contact row of t, taken twice, is its 2m loops
+    per = m + m * isolated
+    dst = contacts.repeat(1 + isolated, axis=0).ravel()
+    del contacts   # the graph's degree recount below is the memory peak
+    src = np.arange(n).repeat(per)
+    kind = np.full(dst.size, EdgeKind.PLAIN, dtype=np.int8)
+    extra = np.zeros(n, dtype=np.int64)
+    if model != "base":
+        ends = per.cumsum()[1:]
+        src = np.insert(src, ends, np.arange(1, n))
+        dst = np.insert(dst, ends, partner[1:])
+        kind = np.insert(kind, ends, EdgeKind.LONG if model == "hybrid" else EdgeKind.FLEXIBLE)
+        extra[1:] += 1
+        extra += np.bincount(partner[1:], minlength=n)
+
+    g = EvolvingGraph(model, pos, src, dst, kind,
                       flexible_loops=floops, isolated_birth=isolated, config=cfg)
     # the container recounts degrees from the edge list; the running tallies
     # must agree exactly
     if not (np.array_equal(plain, g.plain_degree)
-            and np.array_equal(long_deg, g.long_degree)
-            and np.array_equal(flex_edge, g.flexible_edge_degree)):
+            and np.array_equal(extra, g.long_degree + g.flexible_edge_degree)):
         raise AssertionError("degree tallies disagree with edge-list recount")
 
+    # closed-ball membership, as for the cap index and the occupancy
+    members, mptr = caps.members(probes, r)
+    iso_in_cap = np.zeros(k_probes, dtype=bool)
+    iso_in_cap[np.arange(k_probes).repeat(np.diff(mptr))[isolated[members]]] = True
     trace = GenerationTrace(probe_points=probes, times=times, occupancy=occ,
                             attach_mass=mass, isolated_in_cap=iso_in_cap)
     return g, trace

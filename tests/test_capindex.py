@@ -18,6 +18,12 @@ class TestBasics:
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
             CapIndex(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]]), 0.3)
+        idx = CapIndex(sample_uniform(np.random.default_rng(3), 400), 0.3)
+        # a query centre is exactly one unit vector: not a scaled one, and not
+        # a stack of several
+        for center in ([0.0, 0.0, 2.0], [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]):
+            with pytest.raises(ValueError):
+                idx.query_cap(np.array(center), 0.3)
 
     def test_bad_cell_angle(self):
         pts = np.array([[0.0, 0.0, 1.0]])

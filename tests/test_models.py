@@ -162,6 +162,24 @@ class TestSmallContracts:
         assert rep.component_diameters == component_diameters_scan(g.adjacency_csr)
 
 
+def _assert_edge_layout(g, c):
+    """Edges grouped by newborn in birth order: m plain contacts to earlier
+    vertices (2m plain loops after an isolated birth), then one long (hybrid)
+    or flexible (selfloop) edge to an earlier vertex for t >= 1."""
+    extra = {"base": None, "hybrid": EdgeKind.LONG, "selfloop": EdgeKind.FLEXIBLE}[c.model]
+    per = np.where(g.isolated_birth, 2 * c.m, c.m)
+    if extra is not None:
+        per[1:] += 1
+    np.testing.assert_array_equal(g.edge_src, np.arange(c.n).repeat(per))
+    kind = np.full(g.num_edges, EdgeKind.PLAIN, dtype=np.int8)
+    if extra is not None:
+        kind[per.cumsum()[1:] - 1] = extra
+    np.testing.assert_array_equal(g.edge_kind, kind)
+    np.testing.assert_array_equal(g.edge_src == g.edge_dst,
+                                  g.isolated_birth[g.edge_src] & (kind == EdgeKind.PLAIN))
+    assert (g.edge_dst <= g.edge_src).all()
+
+
 class TestDegreeTotals:
     @pytest.mark.parametrize("model,n,m,xi,r", [
         ("base", 200, 2, 1.0, 0.5),
@@ -173,6 +191,8 @@ class TestDegreeTotals:
     def test_total_degree_sum(self, model, n, m, xi, r):
         c = cfg(model=model, n=n, m=m, xi=xi, r=r, seed=11)
         g, _ = generate(c)
+        assert 1 < g.isolated_birth.sum() < n
+        _assert_edge_layout(g, c)
         total = int(g.degree().sum())
         if model == "base":
             assert total == 2 * m * n
@@ -344,14 +364,31 @@ class TestTrace:
                 assert tr.attach_mass[ti, pi] == want
 
     def test_isolated_in_cap_flag(self):
-        probes = default_probes(6)
-        c = cfg(model="base", n=200, m=2, xi=1.0, r=0.12, seed=4, probes=probes,
-                checkpoint_times=(200,))
-        g, tr = generate(c)
+        kw = dict(model="base", n=200, m=2, xi=1.0, r=0.12, seed=4, checkpoint_times=(200,))
+        c = cfg(**kw)
+        g, _ = generate(c)
         iso_pos = g.positions[g.isolated_birth]
-        for pi in range(6):
+        # one more probe at dot cos(r) - 5e-13 from vertex 0, an isolated
+        # birth, and farther than 2r from every other: a member of vertex 0's
+        # closed ball only through the tolerance
+        p0 = g.positions[0]
+        e1 = np.cross(p0, [0.0, 0.0, 1.0])
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(p0, e1)
+        cos_a = np.cos(c.r) - 5e-13
+        for phi in np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False):
+            edge = cos_a * p0 + np.sqrt(1.0 - cos_a ** 2) * (np.cos(phi) * e1 + np.sin(phi) * e2)
+            if (iso_pos[1:] @ edge < np.cos(2 * c.r)).all():
+                break
+        else:
+            pytest.fail("no probe direction clear of other isolated births")
+        assert np.cos(c.r) - DOT_TOL <= edge @ p0 < np.cos(c.r)
+        probes = np.vstack([default_probes(6), edge])
+        _, tr = generate(cfg(probes=probes, **kw))
+        for pi in range(7):
             near = (iso_pos @ probes[pi] >= np.cos(c.r) - DOT_TOL).any()
             assert tr.isolated_in_cap[pi] == near
+        assert tr.isolated_in_cap[6]
 
     def test_trace_csv(self, tmp_path):
         c = cfg(model="base", n=30, m=2, xi=1.0, r=0.9, seed=1,
