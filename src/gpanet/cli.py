@@ -242,7 +242,7 @@ def cli_main(argv=None) -> int:
         return _HANDLERS.get(args.command, _cmd_analysis)(args)
     except (ValueError, OSError) as exc:
         if getattr(args, "json", False):
-            print(json.dumps({"error": str(exc), "command": args.command}))
+            print(json_text({"error": str(exc), "command": args.command}))
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -190,32 +190,49 @@ class EvolvingGraph:
 
     def boundary_edge_count(self, S) -> int:
         """Edges with exactly one endpoint in S, multiplicity counted; loops never cross."""
-        mask = self._as_mask(S)
-        rows = self.adjacency_csr[np.flatnonzero(mask)]
-        return int(rows.data[~mask[rows.indices]].sum())
+        return self._cut(np.flatnonzero(self._as_mask(S)), connectivity=False)[0]
 
     def conductance(self, S) -> float:
         """Boundary edge count over min(vol(S), vol(complement))."""
-        mask = self._as_mask(S)
-        k = int(mask.sum())
-        if k == 0:
-            raise ValueError("conductance undefined for empty S")
-        if k == self.n:
-            raise ValueError("conductance undefined for S = V")
-        vol_s = int(self.total_degree[mask].sum())
-        vol_c = int(self.total_degree.sum()) - vol_s
-        denom = min(vol_s, vol_c)
-        if denom == 0:
-            raise ValueError("conductance undefined: zero-volume side")
-        return self.boundary_edge_count(mask) / denom
+        ids = np.flatnonzero(self._as_mask(S))
+        denom = self._conductance_denominator(ids)
+        return self._cut(ids, connectivity=False)[0] / denom
 
     def induced_connected(self, S) -> bool:
         """Whether the subgraph induced by S is connected (singletons count)."""
-        ids = np.flatnonzero(self._as_mask(S))
+        return self._cut(np.flatnonzero(self._as_mask(S)))[1]
+
+    def _conductance_denominator(self, ids) -> int:
+        """min(vol(S), vol(complement)) of the distinct vertex ids S; raises
+        where conductance is undefined."""
         if ids.size == 0:
+            raise ValueError("conductance undefined for empty S")
+        if ids.size == self.n:
+            raise ValueError("conductance undefined for S = V")
+        vol_s = int(self.total_degree[ids].sum())
+        denom = min(vol_s, int(self.total_degree.sum()) - vol_s)
+        if denom == 0:
+            raise ValueError("conductance undefined: zero-volume side")
+        return denom
+
+    def _cut(self, ids, connectivity: bool = True) -> tuple[int, bool | None]:
+        """Boundary edge count of the distinct vertex ids and, unless
+        connectivity is False, whether they induce a connected subgraph.
+
+        Both come from one row slice of the adjacency.
+        """
+        if connectivity and ids.size == 0:
             raise ValueError("connectivity undefined for empty S")
-        ncomp, _ = connected_components(self.adjacency_csr[ids][:, ids], directed=False)
-        return ncomp == 1
+        mask = np.zeros(self.n, dtype=bool)
+        mask[ids] = True
+        rows = self.adjacency_csr[ids]
+        boundary = int(rows.data[~mask[rows.indices]].sum())
+        if not connectivity:
+            return boundary, None
+        # the induced slice is symmetric, so its strong components are its
+        # components, and scipy skips the transpose that directed=False builds
+        ncomp, _ = connected_components(rows[:, ids], directed=True, connection="strong")
+        return boundary, ncomp == 1
 
     # -- derived structures --------------------------------------------------
 
@@ -249,28 +266,44 @@ class EvolvingGraph:
 
     def write_edges(self, f) -> None:
         """The edges.csv records, written to the text file f."""
-        _write_csv(f, "src,dst,kind", "{},{},{}",
-                   self.edge_src, self.edge_dst, KIND_NAMES[self.edge_kind])
+        ids = _decimal_strings(self.n)
+        _write_csv(f, "src,dst,kind", "%s,%s,%s",
+                   (ids, self.edge_src), (ids, self.edge_dst), (KIND_NAMES, self.edge_kind))
 
     def write_vertices_csv(self, path) -> None:
         """Vertex table: id,colatitude,longitude,birth_time."""
         colat, lon = to_angles(self.positions)
+        ids = _decimal_strings(self.n)
         with open(path, "w") as f:
-            _write_csv(f, "id,colatitude,longitude,birth_time", "{},{:.17g},{:.17g},{}",
-                       np.arange(self.n), colat, lon, self.birth_time)
+            _write_csv(f, "id,colatitude,longitude,birth_time", "%s,%.17g,%.17g,%s",
+                       (ids, np.arange(self.n)), colat, lon, (ids, self.birth_time))
 
 
 _CSV_CHUNK_ROWS = 4096
 
 
-def _write_csv(f, header: str, line: str, *columns) -> None:
-    """Write header, then line.format(*row) for each row across the columns.
+def _decimal_strings(n: int) -> np.ndarray:
+    """str(i) for i in 0..n, as an object array that vertex-id columns index."""
+    return np.array([str(i) for i in range(n + 1)], dtype=object)
 
-    Rows are formatted one fixed-size chunk at a time, so no column is ever
-    held whole as strings.
+
+def _write_csv(f, header: str, line: str, *columns) -> None:
+    """Write header, then line % row for each row across the columns.
+
+    A column is an array, or a pair (table, index) whose cells are
+    table[index].  Either is read one fixed-size chunk at a time, so no
+    column is ever held whole as strings or objects, and each chunk is
+    written by one % format over its cells, interleaved row by row.
     """
     f.write(header + "\n")
     line += "\n"
-    for lo in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
-        chunk = [c[lo:lo + _CSV_CHUNK_ROWS].tolist() for c in columns]
-        f.write("".join(map(line.format, *chunk)))
+    columns = [c if isinstance(c, tuple) else (None, c) for c in columns]
+    width = len(columns)
+    rows = len(columns[0][1])
+    for lo in range(0, rows, _CSV_CHUNK_ROWS):
+        k = min(_CSV_CHUNK_ROWS, rows - lo)
+        cells = [None] * (k * width)
+        for j, (table, c) in enumerate(columns):
+            c = c[lo:lo + k]
+            cells[j::width] = (c if table is None else table[c]).tolist()
+        f.write((line * k) % tuple(cells))

@@ -69,7 +69,7 @@ class DegreeHistogram:
     def write_csv(self, path) -> None:
         ks, cs = self.as_arrays()
         with open(path, "w") as f:
-            _write_csv(f, "k,count", "{},{}", ks, cs)
+            _write_csv(f, "k,count", "%d,%d", ks, cs)
 
     def to_json_dict(self) -> dict:
         ks, cs = self.as_arrays()
@@ -311,8 +311,8 @@ def community_check(g: EvolvingGraph, v: int, R: float, alpha: float,
     """
     members = r_neighborhood(g, v, R)
     size = int(members.size)
-    connected = g.induced_connected(members)
-    phi = g.conductance(members)
+    boundary, connected = g._cut(members)
+    phi = boundary / g._conductance_denominator(members)
     ok = bool(connected and phi <= alpha / size ** beta and size <= size_cap)
     return CommunityReport(center=int(v), radius=float(R), size=size,
                            connected=connected, conductance=float(phi),

@@ -147,7 +147,7 @@ class GenerationTrace:
     def write_csv(self, path) -> None:
         k = self.probe_points.shape[0]
         with open(path, "w") as f:
-            _write_csv(f, "probe_index,t,occupancy,attach_mass", "{},{},{},{}",
+            _write_csv(f, "probe_index,t,occupancy,attach_mass", "%d,%d,%d,%d",
                        np.tile(np.arange(k), self.times.size), np.repeat(self.times, k),
                        self.occupancy.ravel(), self.attach_mass.ravel())
 
@@ -172,7 +172,7 @@ def pa_sample_contacts(g: EvolvingGraph, idx: CapIndex, x, m: int, delta: int,
 
 def _draw(weights: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     """m i.i.d. indices into weights, index i with probability w_i / sum(w)."""
-    cum = weights.cumsum(dtype=np.int64)
+    cum = weights.cumsum()
     return cum.searchsorted(rng.random(m) * cum[-1], side="right")
 
 
@@ -199,7 +199,8 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
     # the far end of the long or flexible edge of each newborn t >= 1
     contacts = np.empty((n, m), dtype=np.int64)
     partner = np.zeros(n, dtype=np.int64)
-    plain = np.zeros(n, dtype=np.int64)
+    # the attachment weight plain + delta, kept as the running tally
+    weight = np.full(n, delta, dtype=np.int64)
     floops = np.zeros(n, dtype=np.int64)
     isolated = np.zeros(n, dtype=bool)
 
@@ -223,12 +224,12 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
         cand = cands[at[t - lo]:at[t - lo + 1]]
         if cand.size == 0:
             contacts[t] = t
-            plain[t] += 2 * m
+            weight[t] += 2 * m
             isolated[t] = True
         else:
-            drawn = contacts[t] = cand[_draw(plain[cand] + delta, m, rng)]
-            np.add.at(plain, drawn, 1)
-            plain[t] += m
+            drawn = contacts[t] = cand[_draw(weight.take(cand), m, rng)]
+            np.add.at(weight, drawn, 1)
+            weight[t] += m
 
         if model == "hybrid" and t > 0:
             partner[t] = rng.integers(0, t)
@@ -255,9 +256,10 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
         if row is not None and k_probes:
             members, mptr = caps.members(probes, r, t + 1)
             occ[row] = np.diff(mptr)
-            held = np.concatenate([[0], plain[members].cumsum()])
-            mass[row] = held[mptr[1:]] - held[mptr[:-1]] + delta * occ[row]
+            held = np.concatenate([[0], weight[members].cumsum()])
+            mass[row] = held[mptr[1:]] - held[mptr[:-1]]
 
+    plain = weight - delta
     # the edge list, in the order of the module docstring; an isolated birth's
     # contact row of t, taken twice, is its 2m loops
     per = m + m * isolated

@@ -47,7 +47,10 @@ class TestParams:
         code, out, _ = run(capsys, "params", "--n", "2", "--xi", "1",
                            "--c0", "1", "--c1", "0.5", "--json")
         assert code == 1
-        assert "error" in json.loads(out)
+        payload = json.loads(out)
+        # keys come out sorted, as in every other --json output
+        assert list(payload) == ["command", "error"]
+        assert "n must be" in payload["error"]
 
 
 class TestGenerate:

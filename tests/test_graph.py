@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from gpanet import graph
 from gpanet.graph import EdgeKind, EvolvingGraph
+from gpanet.metrics import DegreeHistogram
+from gpanet.models import GenerationTrace
 from gpanet.sphere import sample_uniform
 
 from oracles import boundary_scan, conductance_scan, connected_scan, volume_scan
@@ -221,6 +224,60 @@ def test_csv_round_trip(tmp_path):
                         np.cos(colat)])
         np.testing.assert_allclose(vec, g.positions[i], atol=1e-12)
         assert int(fields[3]) == i + 1
+
+
+def _format_reference(header, line, *columns):
+    """The CSV text that line.format gives row by row: the writer's reference."""
+    lists = [np.asarray(c).tolist() for c in columns]
+    return header + "\n" + "".join(line.format(*row) + "\n" for row in zip(*lists))
+
+
+# exact zero, irrational, just below the longitude bound 2 pi, tiny, subnormal
+_EDGE_FLOATS = [0.0, np.pi, 2 * np.pi - 1e-15, 1e-300, 5e-324]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4096, 4097])
+def test_csv_writers_match_str_format(rows, tmp_path, monkeypatch):
+    # the writers format each chunk of rows with one % over its cells; every
+    # byte must equal the row-by-row str.format rendering, across the
+    # 4096-row chunk boundary and for floats that stress %.17g
+    rng = np.random.default_rng(rows)
+    src = rng.integers(0, max(rows, 1), size=rows)
+    dst = np.where(rng.random(rows) < 0.2, src, rng.integers(0, max(rows, 1), size=rows))
+    kind = rng.integers(0, 3, size=rows).astype(np.int8)
+    g = toy_graph(rows, edge_src=src, edge_dst=dst, edge_kind=kind)
+
+    g.write_edges_csv(tmp_path / "edges.csv")
+    want = _format_reference("src,dst,kind", "{},{},{}",
+                             src, dst, np.array(["plain", "long", "flexible"])[kind])
+    assert (tmp_path / "edges.csv").read_text() == want
+
+    angles = rng.uniform(0.0, 2 * np.pi, size=(2, rows))
+    angles[:, :rows:7] = np.resize(_EDGE_FLOATS, angles[:, :rows:7].shape)
+    monkeypatch.setattr(graph, "to_angles", lambda points: (angles[0], angles[1]))
+    g.write_vertices_csv(tmp_path / "vertices.csv")
+    want = _format_reference("id,colatitude,longitude,birth_time", "{},{:.17g},{:.17g},{}",
+                             np.arange(rows), angles[0], angles[1], np.arange(1, rows + 1))
+    assert (tmp_path / "vertices.csv").read_text() == want
+
+    n_times, k = {0: (0, 3), 1: (1, 1), 4096: (4, 1024), 4097: (17, 241)}[rows]
+    times = np.arange(1, n_times + 1) * 1000
+    occ = rng.integers(0, 2 ** 20, size=(n_times, k))
+    mass = rng.integers(0, 2 ** 40, size=(n_times, k))
+    trace = GenerationTrace(probe_points=np.zeros((k, 3)), times=times,
+                            occupancy=occ, attach_mass=mass)
+    trace.write_csv(tmp_path / "trace.csv")
+    want = _format_reference("probe_index,t,occupancy,attach_mass", "{},{},{},{}",
+                             np.tile(np.arange(k), n_times), np.repeat(times, k),
+                             occ.ravel(), mass.ravel())
+    assert (tmp_path / "trace.csv").read_text() == want
+
+    ks = np.sort(rng.choice(10 * rows + 1, size=rows, replace=False))
+    cs = rng.integers(1, 2 ** 31, size=rows)
+    hist = DegreeHistogram(counts=dict(zip(ks.tolist(), cs.tolist())), kind="total",
+                           n=int(cs.sum()))
+    hist.write_csv(tmp_path / "degrees.csv")
+    assert (tmp_path / "degrees.csv").read_text() == _format_reference("k,count", "{},{}", ks, cs)
 
 
 def test_total_degree_sums():

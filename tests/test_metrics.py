@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from gpanet.graph import EdgeKind, EvolvingGraph
 from gpanet.metrics import (FLAG_ALL, FLAG_LOOP_ONLY, FLAG_OK,
@@ -377,8 +377,48 @@ class TestCommunityCheck:
     def test_whole_graph_errors(self):
         g, _ = generate(ModelConfig(model="base", n=30, m=2, xi=1.0, r=1.0,
                                     seed=1))
-        with pytest.raises(ValueError):
-            community_check(g, 0, np.pi, 1.0, 0.25, 1e9)
+        for R in (np.pi, 4.0):
+            with pytest.raises(ValueError, match="^conductance undefined for S = V$"):
+                community_check(g, 0, R, 1.0, 0.25, 1e9)
+
+    def test_zero_volume_cap_errors(self):
+        # vertex 0 has no edge, so its small cap {0} has zero volume
+        pos = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        g = EvolvingGraph("base", pos, np.array([1]), np.array([2]), np.zeros(1, dtype=np.int8))
+        with pytest.raises(ValueError, match="^conductance undefined: zero-volume side$"):
+            community_check(g, 0, 0.1, 1.0, 0.25, 1e9)
+        # S = V is checked before the volumes, so it wins on an edgeless graph
+        bare = EvolvingGraph("base", pos, [], [], [])
+        with pytest.raises(ValueError, match="^conductance undefined for S = V$"):
+            community_check(bare, 0, np.pi, 1.0, 0.25, 1e9)
+
+    @pytest.mark.parametrize("model", ["base", "hybrid", "selfloop"])
+    def test_cut_matches_recount(self, model):
+        # small r: most births are isolated, so many caps induce several
+        # components, and m=2 makes parallel edges; the recount slices the
+        # adjacency twice and tests undirected connectivity, and counts
+        # crossing edges from the edge list
+        g, _ = generate(ModelConfig(model=model, n=400, m=2, xi=1.0, r=0.05, seed=7))
+        assert g.isolated_birth.sum() > g.n // 2
+        adj = g.adjacency_csr
+        rng = np.random.default_rng(0)
+        seen = set()
+        for v in rng.choice(g.n, 30, replace=False):
+            for R in (0.0, 0.05, 0.2, 0.5, 1.5):
+                ids = g.cap_index.query_cap(g.positions[v], R)
+                mask = np.zeros(g.n, dtype=bool)
+                mask[ids] = True
+                ncomp, _ = connected_components(adj[ids][:, ids], directed=False)
+                want = (int(np.count_nonzero(mask[g.edge_src] != mask[g.edge_dst])), ncomp == 1)
+                assert g._cut(ids) == want
+                assert g._cut(ids, connectivity=False) == (want[0], None)
+                assert g.boundary_edge_count(ids) == want[0]
+                assert g.induced_connected(ids) == want[1]
+                rep = community_check(g, int(v), R, 1.0, 0.25, 1e9)
+                assert rep.connected == want[1]
+                assert rep.conductance == want[0] / min(g.volume(mask), g.volume(~mask))
+                seen.add(want[1])
+        assert seen == {True, False}
 
     def test_singleton_in_triangle(self):
         # positions far apart so a small radius isolates the center
