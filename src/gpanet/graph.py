@@ -120,6 +120,7 @@ class EvolvingGraph:
             self.edge_src[kinds == EdgeKind.FLEXIBLE], self.edge_dst[kinds == EdgeKind.FLEXIBLE], n)
         self.total_degree = (self.plain_degree + self.long_degree
                              + self.flexible_edge_degree + self.flexible_loops)
+        self._total_volume = int(self.total_degree.sum())
         self._csr = None
         self._cap_index = None
 
@@ -171,36 +172,35 @@ class EvolvingGraph:
 
     # -- vertex-set utilities ----------------------------------------------
 
-    def _as_mask(self, S) -> np.ndarray:
+    def _as_ids(self, S) -> np.ndarray:
+        """Sorted distinct vertex ids of S, given as ids or a boolean mask."""
         S = np.asarray(S)
         if S.dtype == bool:
             if S.shape != (self.n,):
                 raise ValueError("boolean mask must have length n")
-            return S
+            return np.flatnonzero(S)
         S = S.astype(np.int64, copy=False)
         if S.size and (S.min() < 0 or S.max() >= self.n):
             raise ValueError("vertex id out of range")
-        mask = np.zeros(self.n, dtype=bool)
-        mask[S] = True
-        return mask
+        return np.unique(S)
 
     def volume(self, S) -> int:
         """Sum of total degrees over S (self-loops counting 1 each)."""
-        return int(self.total_degree[self._as_mask(S)].sum())
+        return int(self.total_degree[self._as_ids(S)].sum())
 
     def boundary_edge_count(self, S) -> int:
         """Edges with exactly one endpoint in S, multiplicity counted; loops never cross."""
-        return self._cut(np.flatnonzero(self._as_mask(S)), connectivity=False)[0]
+        return self._cut(self._as_ids(S), connectivity=False)[0]
 
     def conductance(self, S) -> float:
         """Boundary edge count over min(vol(S), vol(complement))."""
-        ids = np.flatnonzero(self._as_mask(S))
+        ids = self._as_ids(S)
         denom = self._conductance_denominator(ids)
         return self._cut(ids, connectivity=False)[0] / denom
 
     def induced_connected(self, S) -> bool:
         """Whether the subgraph induced by S is connected (singletons count)."""
-        return self._cut(np.flatnonzero(self._as_mask(S)))[1]
+        return self._cut(self._as_ids(S))[1]
 
     def _conductance_denominator(self, ids) -> int:
         """min(vol(S), vol(complement)) of the distinct vertex ids S; raises
@@ -210,7 +210,7 @@ class EvolvingGraph:
         if ids.size == self.n:
             raise ValueError("conductance undefined for S = V")
         vol_s = int(self.total_degree[ids].sum())
-        denom = min(vol_s, int(self.total_degree.sum()) - vol_s)
+        denom = min(vol_s, self._total_volume - vol_s)
         if denom == 0:
             raise ValueError("conductance undefined: zero-volume side")
         return denom

@@ -13,7 +13,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import minimize_scalar
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.special import gammaln, zeta
 
@@ -146,13 +145,86 @@ def fit_power_law_exponent(h: DegreeHistogram, k_min: int) -> PowerLawFit:
     def nll(alpha: float) -> float:
         return alpha * slogk + n_tail * math.log(zeta(alpha, k_min))
 
-    res = minimize_scalar(nll, bounds=(1.0001, 12.0), method="bounded",
-                          options={"xatol": 1e-8})
-    alpha = float(res.x)
+    alpha = _fminbound(nll, 1.0001, 12.0, xatol=1e-8)
     eps = 1e-4
     info = (nll(alpha + eps) - 2.0 * nll(alpha) + nll(alpha - eps)) / eps ** 2
     stderr = float(1.0 / math.sqrt(info)) if info > 0 else float("inf")
     return PowerLawFit(exponent=alpha, stderr=stderr, k_min=k_min, tail_count=n_tail)
+
+
+def _fminbound(f, a: float, b: float, xatol: float, maxfun: int = 500) -> float:
+    """The x in [a, b] minimising f, by Brent's bounded golden-section and
+    parabolic search, stopping within xatol or after maxfun calls of f.
+
+    A step-for-step port of scipy's _minimize_scalar_bounded (scipy,
+    BSD-3-Clause licence): every floating-point operation runs in scipy's
+    order, so the result is bit-identical to scipy's
+    minimize_scalar(f, bounds=(a, b), method="bounded",
+    options={"xatol": xatol, "maxiter": maxfun}).x, and importing gpanet
+    does not load scipy's optimisation package.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:   # try a parabola through xf, nfc and fulc
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm - xf >= 0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0 else xf - step
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return float(xf)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +383,12 @@ def community_check(g: EvolvingGraph, v: int, R: float, alpha: float,
     """
     members = r_neighborhood(g, v, R)
     size = int(members.size)
+    # the domain checks run before the cut (a cap holds its centre, so it is
+    # never empty): a cap of all of V raises without a connectivity pass
+    # over the whole graph
+    denom = g._conductance_denominator(members)
     boundary, connected = g._cut(members)
-    phi = boundary / g._conductance_denominator(members)
+    phi = boundary / denom
     ok = bool(connected and phi <= alpha / size ** beta and size <= size_cap)
     return CommunityReport(center=int(v), radius=float(R), size=size,
                            connected=connected, conductance=float(phi),
@@ -506,7 +582,7 @@ def expander_scan(g: EvolvingGraph, v_sample, R_list) -> ExpanderScanReport:
     loops = g.edge_src == g.edge_dst
     loop_deg = np.bincount(g.edge_src[loops], minlength=g.n) + g.flexible_loops
     total = g.degree()
-    vol_all = int(total.sum())
+    vol_all = g._total_volume
 
     nr, nc = len(radii), centers.size
     sizes = np.zeros((nr, nc), dtype=np.int64)

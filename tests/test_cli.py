@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gpanet
 from gpanet.cli import cli_main
 from gpanet.harness import ExperimentSpec, run_experiment
 from gpanet.models import ModelConfig, default_probes
@@ -322,3 +327,24 @@ class TestUsageErrors:
         argv = ["generate", "--model", "tripartite", "--n", "5", "--m", "2",
                 "--xi", "1", "--r", "0.5", "--seed", "3"]
         assert cli_main(argv) == 2
+
+
+def test_degree_fits_leave_scipy_optimize_unloaded(tmp_path):
+    # a fresh interpreter, since this test process imports scipy.optimize
+    # as the reference for the fit's minimiser
+    script = f"""
+import json, sys
+from gpanet.cli import cli_main
+from gpanet.harness import ExperimentSpec, run_experiment
+from gpanet.models import ModelConfig
+assert cli_main(["degrees", *{GEN!r}, "--json"]) == 0
+cfg = ModelConfig(model="base", n=150, m=2, xi=1.0, r=0.6, seed=0)
+index = run_experiment(ExperimentSpec(cfg, (1,), ("degrees",), {str(tmp_path)!r}))
+assert index["errors"] == [], index["errors"]
+sys.exit("scipy.optimize" in sys.modules)
+"""
+    src = str(Path(gpanet.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert isinstance(json.loads(done.stdout)["exponent"], float)

@@ -83,14 +83,16 @@ def test_volume_boundary_conductance_vs_scan():
                       flexible_loops=floops)
         mask = rng.random(n) < 0.5
         ids = np.flatnonzero(mask)
-        assert g.volume(mask) == volume_scan(g, ids)
-        assert g.boundary_edge_count(mask) == boundary_scan(g, ids)
-        vol_in = g.volume(mask)
+        # the same set as a mask, as unsorted ids and as ids with repeats
+        shuffled = rng.permutation(ids)
+        repeated = rng.permutation(np.concatenate([ids, ids[::2]]))
+        vol_in = volume_scan(g, ids)
         vol_out = g.volume(~mask)
-        if mask.any() and (~mask).any() and min(vol_in, vol_out) > 0:
-            got = g.conductance(mask)
-            want = conductance_scan(g, ids)
-            assert got == pytest.approx(want, abs=1e-15)
+        for S in (mask, shuffled, repeated):
+            assert g.volume(S) == vol_in
+            assert g.boundary_edge_count(S) == boundary_scan(g, ids)
+            if mask.any() and (~mask).any() and min(vol_in, vol_out) > 0:
+                assert g.conductance(S) == conductance_scan(g, ids)
 
 
 def test_conductance_domain_errors():

@@ -1,16 +1,20 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.special import zeta
 
+from gpanet import graph
 from gpanet.graph import EdgeKind, EvolvingGraph
 from gpanet.metrics import (FLAG_ALL, FLAG_LOOP_ONLY, FLAG_OK,
                             FLAG_ZERO_VOLUME, CommunityReport,
                             ConcentrationReport, DegreeHistogram,
-                            DiameterReport, PowerLawFit, analytic_fk,
+                            DiameterReport, PowerLawFit, _fminbound, analytic_fk,
                             community_check, concentration_report,
                             degree_histogram, diameter, expander_scan,
                             fit_power_law_exponent, json_ready,
@@ -250,6 +254,60 @@ class TestPowerLawFit:
             fit_power_law_exponent(h, 0)  # k_min must be >= 1
 
 
+def scipy_bounded(f, a, b, xatol=1e-8, maxfun=500):
+    """The reference the in-repo bounded Brent port must match bit for bit."""
+    return minimize_scalar(f, bounds=(a, b), method="bounded",
+                           options={"xatol": xatol, "maxiter": maxfun}).x
+
+
+def tail_nll(draws, k_min):
+    """The fit's negative log-likelihood for a sample of the tail k >= k_min."""
+    ks, cs = np.unique(draws, return_counts=True)
+    slogk = float(np.dot(cs.astype(np.float64), np.log(ks.astype(np.float64))))
+    n_tail = int(cs.sum())
+    return lambda alpha: alpha * slogk + n_tail * math.log(zeta(alpha, k_min))
+
+
+class TestFminbound:
+    def test_matches_scipy_on_random_tails(self):
+        rng = np.random.default_rng(20240611)
+        for _ in range(1000):
+            k_min = int(rng.integers(1, 30))
+            alpha = float(rng.uniform(1.5, 6.0))
+            size = int(rng.integers(100, 2000))
+            nll = tail_nll(sample_zipf(rng, alpha, k_min, size, k_max=k_min + 5000),
+                           k_min)
+            got = _fminbound(nll, 1.0001, 12.0, xatol=1e-8)
+            assert type(got) is float
+            assert got == scipy_bounded(nll, 1.0001, 12.0)
+
+    @pytest.mark.parametrize("f", [
+        lambda x: x,
+        lambda x: -x,
+        lambda x: 0.0,
+        lambda x: (x - 11.9999) ** 4,
+        lambda x: math.sin(3.0 * x),
+        lambda x: abs(x - math.pi),
+        lambda x: (x - 2.0) ** 2 if x < 5.0 else 1.0,
+        lambda x: round(abs(x - 7.0), 4),   # a parabolic step of exactly 0
+    ], ids=["lower-bound", "upper-bound", "flat", "quartic", "sin3x", "kink", "step",
+            "rounded-kink"])
+    def test_matches_scipy_on_edge_objectives(self, f):
+        assert _fminbound(f, 1.0001, 12.0, xatol=1e-8) == scipy_bounded(f, 1.0001, 12.0)
+
+    @pytest.mark.parametrize("maxfun", [1, 2, 5, 9])
+    def test_maxfun_stop_matches_scipy(self, maxfun):
+        f = lambda x: math.sin(3.0 * x) + 0.1 * x   # noqa: E731
+        assert (_fminbound(f, 1.0001, 12.0, xatol=1e-8, maxfun=maxfun)
+                == scipy_bounded(f, 1.0001, 12.0, maxfun=maxfun))
+
+    def test_fit_exponent_is_scipys_minimiser(self):
+        h = zipf_histogram(3.0, 2, 20000, 99)
+        ks, cs = h.as_arrays()
+        nll = tail_nll(np.repeat(ks[ks >= 2], cs[ks >= 2]), 2)
+        assert fit_power_law_exponent(h, 2).exponent == scipy_bounded(nll, 1.0001, 12.0)
+
+
 # ---------------------------------------------------------------------------
 # diameter
 
@@ -391,6 +449,17 @@ class TestCommunityCheck:
         bare = EvolvingGraph("base", pos, [], [], [])
         with pytest.raises(ValueError, match="^conductance undefined for S = V$"):
             community_check(bare, 0, np.pi, 1.0, 0.25, 1e9)
+
+    def test_whole_graph_cap_skips_the_connectivity_pass(self, monkeypatch):
+        g, _ = generate(ModelConfig(model="base", n=30, m=2, xi=1.0, r=1.0,
+                                    seed=1))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("connectivity pass over a cap of all of V")
+
+        monkeypatch.setattr(graph, "connected_components", refuse)
+        with pytest.raises(ValueError, match="^conductance undefined for S = V$"):
+            community_check(g, 0, np.pi, 1.0, 0.25, 1e9)
 
     @pytest.mark.parametrize("model", ["base", "hybrid", "selfloop"])
     def test_cut_matches_recount(self, model):
