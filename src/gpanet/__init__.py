@@ -13,7 +13,6 @@ from .models import (
     GenerationTrace,
     default_probes,
     generate,
-    pa_sample_contacts,
 )
 from .metrics import (
     CommunityReport,
@@ -47,7 +46,7 @@ __all__ = [
     "SpherePoint", "angular_distance", "cap_area", "sample_uniform", "SPHERE_RADIUS",
     "CapIndex", "EdgeKind", "EvolvingGraph", "VertexRecord",
     "ModelConfig", "GenerationTrace", "default_probes",
-    "generate", "pa_sample_contacts",
+    "generate",
     "CommunityReport", "ConcentrationReport", "DegreeHistogram",
     "DiameterReport", "ExpanderScanReport", "PowerLawFit", "TreeStats",
     "analytic_fk", "community_check", "concentration_report",

@@ -25,6 +25,8 @@ from .sphere import _check_radius, to_angles, unit_rows
 # slack on the membership dot product; absorbs rounding of stored unit vectors
 DOT_TOL = 1e-12
 _PAD = 2e-6
+# band count clip: the table holds at most about 3.3e5 cells
+_MAX_BANDS = 512
 
 
 def _spans(first: np.ndarray, end: np.ndarray) -> np.ndarray:
@@ -34,21 +36,26 @@ def _spans(first: np.ndarray, end: np.ndarray) -> np.ndarray:
     return shift + np.arange(shift.size)
 
 
-class _StaticCapQuery:
-    """Cap queries over a fixed point set, filtered by birth order.
+class CapIndex:
+    """Exact closed-cap membership queries over a fixed set of unit vectors.
 
-    The generators use it directly: all positions are known up front, so
-    rows are grouped by cell once (a stable sort keeps each group ascending
-    in row id), and the rows of a cell born before t are a prefix of it.
+    Ids are row numbers into points.  cell_angle is the target angular cell
+    edge in radians; it defaults to about a handful of points per cell, with
+    at most _MAX_BANDS bands.  Values above pi degrade to a linear scan.
+    Rows are grouped by cell once (a stable sort keeps each group ascending
+    in row id), so the rows of a cell born before t are a prefix of it.
     """
 
-    def __init__(self, points: np.ndarray, cell_angle: float):
+    def __init__(self, points, cell_angle: float | None = None):
+        points = unit_rows(points, "points")
+        self._n = n = points.shape[0]
+        if cell_angle is None:
+            cell_angle = max(0.01, 2.0 / np.sqrt(max(n, 1)))
         cell_angle = float(cell_angle)
         if not np.isfinite(cell_angle) or cell_angle <= 0.0:
             raise ValueError(f"cell_angle must be positive, got {cell_angle!r}")
         self.cell_angle = cell_angle
-        self._n = n = points.shape[0]
-        self._nbands = int(np.clip(np.ceil(np.pi / cell_angle), 1, 4096))
+        self._nbands = int(np.clip(np.ceil(np.pi / cell_angle), 1, _MAX_BANDS))
         self._band_h = np.pi / self._nbands
         mids = (np.arange(self._nbands) + 0.5) * self._band_h
         self._ncells = np.maximum(
@@ -137,23 +144,8 @@ class _StaticCapQuery:
         return self._order[pos[keep]], ptr
 
     def query(self, center: np.ndarray, R: float, before: int) -> np.ndarray:
-        """Rows < before within angular distance R of center (grid order)."""
+        """Rows < before within R of center (grid order); kept for perfbench/spans.py."""
         return self.members(center, R, before)[0]
-
-
-class CapIndex(_StaticCapQuery):
-    """Exact closed-cap membership queries over a fixed set of unit vectors.
-
-    Ids are row numbers into points.  cell_angle is the target angular cell
-    edge in radians; it defaults to about a handful of points per cell, with
-    the cell table kept bounded.  Values above pi degrade to a linear scan.
-    """
-
-    def __init__(self, points, cell_angle: float | None = None):
-        points = unit_rows(points, "points")
-        if cell_angle is None:
-            cell_angle = max(0.01, 2.0 / np.sqrt(max(points.shape[0], 1)))
-        super().__init__(points, cell_angle)
 
     def query_cap(self, center, R: float) -> np.ndarray:
         """Ascending ids of all points within angular distance R of center.
@@ -165,3 +157,7 @@ class CapIndex(_StaticCapQuery):
             raise ValueError(f"center must be one unit vector, got {center.shape[0]} rows")
         R = _check_radius(R)
         return np.sort(self.members(center, R)[0])
+
+
+# the name perfbench/spans.py wraps the grid's methods under
+_StaticCapQuery = CapIndex

@@ -61,6 +61,15 @@ class VertexRecord:
                 + self.flexible_loop_count + self.flexible_edge_degree)
 
 
+def _integer_ids(a) -> np.ndarray:
+    """a as int64 ids; integral floats pass, any other value raises."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iu" and not (
+            a.dtype.kind == "f" and (np.isfinite(a) & (a == np.floor(a))).all()):
+        raise ValueError("vertex ids must be integers")
+    return a.astype(np.int64, copy=False)
+
+
 def _loop_aware_degrees(src, dst, n) -> np.ndarray:
     """Degree contribution of an edge set, with self-loops counting 1."""
     deg = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
@@ -179,7 +188,7 @@ class EvolvingGraph:
             if S.shape != (self.n,):
                 raise ValueError("boolean mask must have length n")
             return np.flatnonzero(S)
-        S = S.astype(np.int64, copy=False)
+        S = _integer_ids(S)
         if S.size and (S.min() < 0 or S.max() >= self.n):
             raise ValueError("vertex id out of range")
         return np.unique(S)
@@ -253,6 +262,7 @@ class EvolvingGraph:
 
     @property
     def cap_index(self) -> CapIndex:
+        """generate's grid, or for a hand-built graph a default one made on first use."""
         if self._cap_index is None:
             self._cap_index = CapIndex(self.positions)
         return self._cap_index

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.special import gammaln, zeta
 
-from .graph import EdgeKind, EvolvingGraph, _write_csv
+from .graph import EdgeKind, EvolvingGraph, _integer_ids, _write_csv
 from .sphere import _check_radius, cap_area
 
 
@@ -570,7 +570,7 @@ def expander_scan(g: EvolvingGraph, v_sample, R_list) -> ExpanderScanReport:
     self-loops (no incident proper edge exists, so the boundary is empty
     by construction and the zero says nothing about expansion).
     """
-    centers = np.asarray(v_sample, dtype=np.int64)
+    centers = _integer_ids(v_sample)
     if centers.ndim != 1 or centers.size == 0:
         raise ValueError("v_sample must be a nonempty 1-d list of vertex ids")
     if centers.min() < 0 or centers.max() >= g.n:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capindex import CapIndex, _StaticCapQuery
+from .capindex import CapIndex
 from .graph import MODEL_NAMES as MODELS
 from .graph import EdgeKind, EvolvingGraph, _write_csv
 from .sphere import SpherePoint, _check_radius, sample_uniform, to_angles, unit_rows
@@ -152,24 +152,6 @@ class GenerationTrace:
                        self.occupancy.ravel(), self.attach_mass.ravel())
 
 
-def pa_sample_contacts(g: EvolvingGraph, idx: CapIndex, x, m: int, delta: int,
-                       kind: str, rng: np.random.Generator, r: float | None = None):
-    """Draw m contacts near x, i.i.d. with replacement, weighted by degree + delta.
-
-    The candidate set is every indexed vertex within the cap of radius r
-    around x (r defaults to the graph config's radius).  Raises on an empty
-    candidate set; the isolated-birth fallback is the caller's business.
-    """
-    if r is None:
-        if g.config is None:
-            raise ValueError("no radius: pass r or attach a config to the graph")
-        r = g.config.r
-    cand = idx.query_cap(x, r)
-    if cand.size == 0:
-        raise ValueError("empty candidate set: no vertex within r of x")
-    return cand[_draw(g.degree(None, kind)[cand] + int(delta), int(m), rng)]
-
-
 def _draw(weights: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     """m i.i.d. indices into weights, index i with probability w_i / sum(w)."""
     cum = weights.cumsum()
@@ -191,7 +173,7 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
     # positions are fixed before any edges exist, so every newborn's candidate
     # set is too: the cap structure is built once, and the candidates of a
     # block of newborns are fetched in one query that filters by birth order
-    caps = _StaticCapQuery(pos, _auto_cell(r, n))
+    caps = CapIndex(pos, _auto_cell(r, n))
     lo = hi = 0
     block = 1
 
@@ -278,6 +260,8 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
 
     g = EvolvingGraph(model, pos, src, dst, kind,
                       flexible_loops=floops, isolated_birth=isolated, config=cfg)
+    # query_cap sorts, so the graph can answer with this grid's cell
+    g._cap_index = caps
     # the container recounts degrees from the edge list; the running tallies
     # must agree exactly
     if not (np.array_equal(plain, g.plain_degree)

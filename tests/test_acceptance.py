@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from gpanet.capindex import CapIndex
 from gpanet.harness import derive_parameters
 from gpanet.metrics import (FLAG_OK, DegreeHistogram, analytic_fk,
                             concentration_report, degree_histogram, diameter,
                             expander_scan, fit_power_law_exponent,
                             long_degree_sum, r_neighborhood, urt_stats)
-from gpanet.models import ModelConfig, default_probes, generate, pa_sample_contacts
+from gpanet.models import ModelConfig, _draw, default_probes, generate
 from gpanet.sphere import cap_area, sample_uniform
 
 from conftest import record_criterion
@@ -340,11 +339,10 @@ def test_criterion_11_oracle_equivalence():
         cfg = ModelConfig(model="base", n=40 + i, m=2, xi=1.0, r=1.2,
                           seed=100 + i)
         g, _ = generate(cfg)
-        idx = CapIndex(g.positions)
         srng = np.random.default_rng(50 + i)
         x = g.positions[int(srng.integers(0, g.n))]
-        contacts = pa_sample_contacts(g, idx, x, draws, cfg.delta, "total",
-                                      srng, r=1.0)
+        cand = g.cap_index.query_cap(x, 1.0)
+        contacts = cand[_draw(g.degree()[cand] + cfg.delta, draws, srng)]
         members = cap_members_scan(g.positions, np.arange(g.n), x, 1.0)
         weights = g.degree(None, "total")[members] + cfg.delta
         expected = weights / weights.sum() * draws

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpanet.capindex import CapIndex, _StaticCapQuery
+from gpanet.capindex import CapIndex
 from gpanet.sphere import SpherePoint, sample_uniform
 
 from oracles import cap_members_scan
@@ -114,27 +114,43 @@ class TestScanEquivalence:
             want = cap_members_scan(pts, np.arange(400), center, R)
             assert np.array_equal(idx.query_cap(center, R), want)
 
+    def test_tiny_cell_keeps_the_table_bounded(self):
+        # a 1e-5 rad cell asks for 314160 bands (about 1.3e11 cells); the band
+        # count is clipped, so the table stays near 3.3e5 slots
+        rng = np.random.default_rng(8)
+        n = 100
+        pts = sample_uniform(rng, n)
+        idx = CapIndex(pts, 1e-5)
+        assert idx._nbands == 512
+        assert idx._start.size - 1 == idx._band_off[-1] < 340_000
+        for center in (pts[0], sample_uniform(rng), np.array([0.0, 0.0, 1.0])):
+            for R in (0.0, 0.003, 0.3, 2.0, np.pi):
+                want = cap_members_scan(pts, np.arange(n), center, R)
+                assert np.array_equal(idx.query_cap(center, R), want), R
+                got = np.sort(idx.members(center, R, n // 2)[0])
+                assert np.array_equal(got, want[want < n // 2]), R
+
 
 class TestStaticQuery:
     def test_matches_scan_with_time_limit(self):
         rng = np.random.default_rng(9)
         n = 300
         pts = sample_uniform(rng, n)
-        static = _StaticCapQuery(pts, 0.35)
+        idx = CapIndex(pts, 0.35)
         for t in range(37, n, 37):
             center = sample_uniform(rng)
             for R in (0.1, 0.8, 2.0):
-                got = np.sort(static.query(center, R, t))
+                got = np.sort(idx.members(center, R, t)[0])
                 want = cap_members_scan(pts[:t], np.arange(t), center, R)
                 assert np.array_equal(got, want), (t, R)
-        got = np.sort(static.query(pts[0], 1.0, n))
+        got = np.sort(idx.members(pts[0], 1.0, n)[0])
         assert np.array_equal(got, cap_members_scan(pts, np.arange(n), pts[0], 1.0))
 
     def test_before_limit_excludes_later_rows(self):
         pts = np.array([[0.0, 0.0, 1.0], [np.sin(0.01), 0.0, np.cos(0.01)]])
-        static = _StaticCapQuery(pts, 0.5)
-        assert static.query(pts[0], 0.5, 1).tolist() == [0]
-        assert sorted(static.query(pts[0], 0.5, 2).tolist()) == [0, 1]
+        idx = CapIndex(pts, 0.5)
+        assert idx.members(pts[0], 0.5, 1)[0].tolist() == [0]
+        assert sorted(idx.members(pts[0], 0.5, 2)[0].tolist()) == [0, 1]
 
     def test_grid_order_at_poles_and_seam(self):
         # _draw reads the candidates in query order, so the order is part of
@@ -156,11 +172,11 @@ class TestStaticQuery:
         k = centers.shape[0]
         times = np.array([0, 1, 200, n])
         for cell in (0.05, 0.3, 1.0):
-            static = _StaticCapQuery(pts, cell)
+            idx = CapIndex(pts, cell)
             rank = np.empty(n, dtype=np.int64)
-            rank[static._order] = np.arange(n)
+            rank[idx._order] = np.arange(n)
             for R in (0.0, 0.05, np.pi / 2, 2.0, np.pi):
-                owner, first, end = static._slot_ranges(centers, R)
+                owner, first, end = idx._slot_ranges(centers, R)
                 assert np.array_equal(np.unique(owner), np.arange(k)), (cell, R)
                 assert (np.diff(owner) >= 0).all(), (cell, R)
                 assert (first < end).all(), (cell, R)
@@ -169,17 +185,17 @@ class TestStaticQuery:
                 # one call for all centres, each with its own time limit
                 for shift in range(times.size):
                     before = times[(np.arange(k) + shift) % times.size]
-                    rows, ptr = static.members(centers, R, before)
+                    rows, ptr = idx.members(centers, R, before)
                     assert ptr[0] == 0 and ptr[-1] == rows.size
                     for i, (center, t) in enumerate(zip(centers, before)):
                         want = cap_members_scan(pts[:t], np.arange(t), center, R)
                         want = want[np.argsort(rank[want])]
                         assert np.array_equal(rows[ptr[i]:ptr[i + 1]], want), (cell, R, t)
-                rows, ptr = static.members(centers, R)
+                rows, ptr = idx.members(centers, R)
                 for i, center in enumerate(centers):
                     want = cap_members_scan(pts, np.arange(n), center, R)
                     want = want[np.argsort(rank[want])]
                     assert np.array_equal(rows[ptr[i]:ptr[i + 1]], want), (cell, R)
                 for before in (None, 0, n):
-                    rows, ptr = static.members(np.empty((0, 3)), R, before)
+                    rows, ptr = idx.members(np.empty((0, 3)), R, before)
                     assert rows.size == 0 and ptr.tolist() == [0]

@@ -118,6 +118,21 @@ def test_conductance_accepts_id_lists():
         g.conductance([0, 9])
 
 
+def test_fractional_vertex_ids_rejected():
+    src = np.array([0, 1, 2, 0])
+    dst = np.array([1, 2, 0, 3])
+    kind = np.int8([0, 0, 0, 0])
+    g = toy_graph(4, edge_src=src, edge_dst=dst, edge_kind=kind)
+    for bad in ([0.9], [1.5, 2.99], [np.nan], [np.inf], ["1"]):
+        for fn in (g.volume, g.boundary_edge_count, g.conductance, g.induced_connected):
+            with pytest.raises(ValueError, match="integers"):
+                fn(np.array(bad))
+    # integral floats are ids, and an empty list (float64 to numpy) is empty
+    assert g.volume([1.0, 2.0]) == g.volume([1, 2])
+    assert g.volume([]) == 0
+    assert g.boundary_edge_count([]) == 0
+
+
 def test_loops_never_cross_boundary():
     src = np.array([0, 0])
     dst = np.array([0, 1])

@@ -773,6 +773,14 @@ class TestExpanderScan:
         assert rep.min_phi[0] == pytest.approx(finite.min())
         assert rep.median_phi[0] == pytest.approx(np.median(finite))
 
+    def test_fractional_centres_rejected(self):
+        g = self.build_clustered()
+        for bad in ([3.7], [0, 2.5], [np.nan]):
+            with pytest.raises(ValueError, match="integers"):
+                expander_scan(g, bad, [0.3])
+        want = expander_scan(g, [0, 3], [0.3])
+        assert np.array_equal(expander_scan(g, [0.0, 3.0], [0.3]).sizes, want.sizes)
+
     def test_consistency_with_community_check(self):
         g, _ = generate(ModelConfig(model="base", n=250, m=2, xi=1.0, r=0.6,
                                     seed=13))

@@ -9,8 +9,8 @@ from scipy import stats
 from gpanet.capindex import DOT_TOL, CapIndex
 from gpanet.graph import EdgeKind, EvolvingGraph
 from gpanet.metrics import diameter
-from gpanet.models import (DEFAULT_PROBE_SEED, GenerationTrace, ModelConfig,
-                           default_probes, generate, pa_sample_contacts)
+from gpanet.models import (DEFAULT_PROBE_SEED, GenerationTrace, ModelConfig, _auto_cell,
+                           _draw, default_probes, generate)
 from gpanet.sphere import angular_distance, sample_uniform
 
 from oracles import cap_members_scan, component_diameters_scan
@@ -279,38 +279,11 @@ class TestRewiringTarget:
 
 
 class TestContactSampler:
-    def build(self, n=30, seed=2):
-        rng = np.random.default_rng(seed)
-        pos = sample_uniform(rng, n)
-        src = np.concatenate([np.zeros(4, dtype=np.int64), [1, 1]])
-        dst = np.concatenate([np.full(4, 1, dtype=np.int64), [2, 2]])
-        kind = np.zeros(6, dtype=np.int8)
-        g = EvolvingGraph("base", pos, src, dst, kind)
-        idx = CapIndex(pos)
-        return g, idx
+    """_draw, the one contact sampler, over the candidates of a cap."""
 
     def test_forced_single_candidate(self):
-        g, idx = self.build()
         rng = np.random.default_rng(0)
-        got = pa_sample_contacts(g, idx, g.positions[3], m=5, delta=2,
-                                 kind="total", rng=rng, r=1e-6)
-        assert got.tolist() == [3] * 5
-
-    def test_empty_cap_raises(self):
-        rng = np.random.default_rng(0)
-        pos = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-        g = EvolvingGraph("base", pos, np.array([0]), np.array([1]), np.int8([0]))
-        idx = CapIndex(pos[:1], 0.3)
-        with pytest.raises(ValueError):
-            pa_sample_contacts(g, idx, pos[1], m=2, delta=1, kind="total",
-                               rng=rng, r=0.5)
-
-    def test_requires_radius_source(self):
-        g, idx = self.build()
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            pa_sample_contacts(g, idx, g.positions[0], m=1, delta=1,
-                               kind="total", rng=rng)  # no config, no r
+        assert _draw(np.array([3]), 5, rng).tolist() == [0] * 5
 
     def test_weight_ratio_chi_square(self):
         # candidates at degree 4, 4 and 2, delta 2: weights 6, 6 and 4
@@ -321,9 +294,8 @@ class TestContactSampler:
         kind = np.zeros(5, dtype=np.int8)
         g = EvolvingGraph("base", pos, src, dst, kind)
         assert g.degree(0) == 4 and g.degree(1) == 4 and g.degree(2) == 2
-        idx = CapIndex(pos)
-        draws = pa_sample_contacts(g, idx, pos[0], m=30000, delta=2,
-                                   kind="total", rng=rng, r=np.pi)
+        cand = g.cap_index.query_cap(pos[0], np.pi)
+        draws = cand[_draw(g.degree()[cand] + 2, 30000, rng)]
         counts = np.bincount(draws, minlength=3)
         p = stats.chisquare(counts, f_exp=np.array([6, 6, 4]) / 16 * counts.sum()).pvalue
         assert p > 1e-3, (counts, p)
@@ -333,12 +305,36 @@ class TestContactSampler:
         pos = sample_uniform(rng, 5)
         g = EvolvingGraph("base", pos, np.empty(0, dtype=np.int64),
                           np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8))
-        idx = CapIndex(pos)
-        draws = pa_sample_contacts(g, idx, pos[0], m=20000, delta=3,
-                                   kind="total", rng=rng, r=np.pi)
+        cand = g.cap_index.query_cap(pos[0], np.pi)
+        draws = cand[_draw(g.degree()[cand] + 3, 20000, rng)]
         counts = np.bincount(draws, minlength=5)
         p = stats.chisquare(counts).pvalue
         assert p > 1e-3, (counts, p)
+
+
+class TestCapIndexHandoff:
+    @pytest.mark.parametrize("model", ["base", "hybrid", "selfloop"])
+    def test_graph_reuses_the_generators_grid(self, model):
+        c = cfg(model=model, n=400, r=0.25, seed=3)
+        g, _ = generate(c)
+        idx = g.cap_index
+        assert idx is g.cap_index
+        # the default cell would be 0.1 rad here
+        assert idx.cell_angle == _auto_cell(c.r, c.n) == 0.25
+        rng = np.random.default_rng(4)
+        ids = np.arange(g.n)
+        for center in (g.positions[0], g.positions[-1], sample_uniform(rng)):
+            for R in (0.0, c.r, 1.0, np.pi):
+                want = cap_members_scan(g.positions, ids, center, R)
+                assert np.array_equal(idx.query_cap(center, R), want), (center, R)
+
+    def test_hand_built_graph_builds_the_default_grid(self):
+        pos = sample_uniform(np.random.default_rng(6), 400)
+        g = EvolvingGraph("base", pos, np.array([0]), np.array([1]), np.int8([0]))
+        assert g._cap_index is None
+        idx = g.cap_index
+        assert idx is g.cap_index
+        assert idx.cell_angle == CapIndex(pos).cell_angle == pytest.approx(0.1)
 
 
 class TestTrace:
