@@ -2,7 +2,10 @@
 community certification, expander scans, tree statistics, concentration.
 
 All operations are read-only.  Neighborhoods C_R(v) are geometric (angular
-balls around the vertex position), not graph-distance balls.
+balls around the vertex position), not graph-distance balls.  Components,
+hop distances and the diameter's sweeps run on the adjacency's CSR arrays
+(graph._components, graph._hop_distances), so scipy's graph package is
+never loaded.
 """
 
 from __future__ import annotations
@@ -13,10 +16,11 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.special import gammaln, zeta
 
-from .graph import EdgeKind, EvolvingGraph, _integer_ids, _write_csv
+from .capindex import _spans
+from .graph import (EdgeKind, EvolvingGraph, _components, _hop_distances, _integer_ids,
+                    _vertex_id, _write_csv)
 from .sphere import _check_radius, cap_area
 
 
@@ -244,6 +248,11 @@ class DiameterReport:
         return json_ready(self)
 
 
+# perfbench/spans.py wraps this name under --trace 1; nothing calls it since
+# the diameter's sweeps run on the CSR arrays (ROADMAP item 2 removes both)
+dijkstra = None
+
+
 def _diameter_bfs_all(csr, labels) -> np.ndarray:
     """Exact diameter of every connected component, indexed by label.
 
@@ -259,9 +268,14 @@ def _diameter_bfs_all(csr, labels) -> np.ndarray:
     """
     # relabel by decreasing degree: sources are then a prefix scan, the hubs'
     # rows sit together, and empty rows come last, where or-reduce reads the
-    # zero sentinel after the gathered edges instead of the next row's first
+    # zero sentinel after the gathered edges instead of the next row's first;
+    # ascending ids within each row keep the gathers of every level local
     order = np.argsort(-np.diff(csr.indptr), kind="stable")
     csr = csr[order][:, order]
+    csr.sort_indices()
+    indptr = csr.indptr.astype(np.int64)
+    indices = csr.indices.astype(np.int64)
+    del csr   # only these two arrays are read from here on
     labels = labels[order]
     ends = np.cumsum(np.bincount(labels)) - 1   # last slot of each label group
 
@@ -269,21 +283,23 @@ def _diameter_bfs_all(csr, labels) -> np.ndarray:
         return np.lexsort((dist, labels))[ends]
 
     roots = np.unique(labels, return_index=True)[1]
-    a = farthest(dijkstra(csr, unweighted=True, indices=roots, min_only=True))
-    d_a, pred, _ = dijkstra(csr, unweighted=True, indices=a, min_only=True,
-                            return_predecessors=True)
+    a = farthest(_hop_distances(indptr, indices, roots))
+    d_a = _hop_distances(indptr, indices, a)
     b = farthest(d_a)
-    lb = d_a[b].astype(np.int64)
+    lb = d_a[b]
+    # walk each a-b path halfway back, each step to the highest-id neighbour
+    # one level closer to a (every vertex past a has one; any of them keeps
+    # the bounds exact, and the choice only moves how many passes run)
     mid, w = b.copy(), np.flatnonzero(lb > 1)
-    for step in range(int(lb.max()) // 2):   # walk each a-b path halfway back
+    for step in range(int(lb.max()) // 2):
         w = w[lb[w] // 2 > step]
-        mid[w] = pred[mid[w]]
-    d_mid = dijkstra(csr, unweighted=True, indices=mid, min_only=True)
-    bound = np.minimum(d_a + lb[labels],
-                       d_mid + d_mid[farthest(d_mid)][labels]).astype(np.int64)
+        first, end = indptr[mid[w]], indptr[mid[w] + 1]
+        nbrs = indices[_spans(first, end)]
+        nbrs[d_a[nbrs] != (d_a[mid[w]] - 1).repeat(end - first)] = -1
+        mid[w] = np.maximum.reduceat(nbrs, (end - first).cumsum() - (end - first))
+    d_mid = _hop_distances(indptr, indices, mid)
+    bound = np.minimum(d_a + lb[labels], d_mid + d_mid[farthest(d_mid)][labels])
 
-    indptr = csr.indptr.astype(np.int64)
-    indices = csr.indices.astype(np.int64)
     best = np.zeros_like(lb)
     gathered = np.zeros(indices.size + 1, dtype=np.uint64)
     while True:
@@ -310,18 +326,18 @@ def _diameter_bfs_all(csr, labels) -> np.ndarray:
             visited |= nxt
             frontier = nxt
         np.maximum.at(best, labels[src], ecc)
-        _lower_ecc_bounds(csr, bound, src, ecc)
+        _lower_ecc_bounds(indptr, indices, bound, src, ecc)
 
 
-def _lower_ecc_bounds(csr, bound, src, ecc) -> None:
+def _lower_ecc_bounds(indptr, indices, bound, src, ecc) -> None:
     """Set bound[w] = min(bound[w], ecc[i] + d(src[i], w)) for every w."""
     changed = src[ecc < bound[src]]
     bound[src] = np.minimum(bound[src], ecc)
     while changed.size:
-        rows = csr[changed]
-        nbrs = rows.indices
+        first, end = indptr[changed], indptr[changed + 1]
+        nbrs = indices[_spans(first, end)]
         before = bound[nbrs]
-        np.minimum.at(bound, nbrs, np.repeat(bound[changed] + 1, np.diff(rows.indptr)))
+        np.minimum.at(bound, nbrs, np.repeat(bound[changed] + 1, end - first))
         changed = np.unique(nbrs[bound[nbrs] < before])
 
 
@@ -335,7 +351,7 @@ def diameter(g: EvolvingGraph, mode: str = "exact") -> DiameterReport:
     if mode not in ("exact", "component-wise"):
         raise ValueError(f"unknown mode {mode!r}")
     adj = g.adjacency_csr
-    ncomp, labels = connected_components(adj, directed=False)
+    ncomp, labels = _components(adj.indptr, adj.indices)
     if mode == "exact" and ncomp > 1:
         raise ValueError(f"graph has {ncomp} components; use mode='component-wise'")
     diams = sorted(_diameter_bfs_all(adj, labels).tolist(), reverse=True)
@@ -351,9 +367,7 @@ def diameter(g: EvolvingGraph, mode: str = "exact") -> DiameterReport:
 
 def r_neighborhood(g: EvolvingGraph, v: int, R: float) -> np.ndarray:
     """Sorted ids of all vertices within angular distance R of vertex v."""
-    v = int(v)
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
+    v = _vertex_id(v, g.n)
     return g.cap_index.query_cap(g.positions[v], min(float(R), np.pi))
 
 
@@ -435,12 +449,12 @@ def urt_stats(g: EvolvingGraph) -> TreeStats:
     ones = np.ones(src.size, dtype=np.int8)
     adj = sp.csr_matrix((ones, (src, dst)), shape=(n, n))
     adj = adj + adj.T
-    ncomp, _ = connected_components(adj, directed=False)
-    if ncomp != 1:
+    d_0 = _hop_distances(adj.indptr, adj.indices, [0])
+    if (d_0 < 0).any():
+        ncomp = _components(adj.indptr, adj.indices)[0]
         raise ValueError(f"tree edges split into {ncomp} components; not a spanning tree")
     # n-1 edges + connected => a tree; its diameter falls out of two sweeps
-    a = int(np.argmax(dijkstra(adj, unweighted=True, indices=0)))
-    diam = int(dijkstra(adj, unweighted=True, indices=a).max())
+    diam = int(_hop_distances(adj.indptr, adj.indices, [int(np.argmax(d_0))]).max())
     deg = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
     return TreeStats(diameter=diam, max_degree=int(deg.max()))
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from gpanet import graph
 from gpanet.graph import EdgeKind, EvolvingGraph
@@ -131,6 +133,19 @@ def test_fractional_vertex_ids_rejected():
     assert g.volume([1.0, 2.0]) == g.volume([1, 2])
     assert g.volume([]) == 0
     assert g.boundary_edge_count([]) == 0
+    # one vertex: a fractional id raises instead of truncating
+    for bad in (2.7, 0.5, np.float64(1.5), np.nan):
+        with pytest.raises(ValueError, match="integers"):
+            g.vertex(bad)
+        with pytest.raises(ValueError, match="integers"):
+            g.degree(bad)
+    assert g.vertex(2.0).id == 2 and isinstance(g.vertex(2.0).id, int)
+    assert g.degree(2.0, "plain") == g.degree(np.int32(2), "plain") == 2
+    # out of range raises for both, where degree(-1) read the last vertex
+    for fn in (g.vertex, g.degree):
+        for bad in (4.0, 4, -1):
+            with pytest.raises(ValueError, match=f"^vertex {int(bad)} out of range$"):
+                fn(bad)
 
 
 def test_loops_never_cross_boundary():
@@ -168,6 +183,48 @@ def test_induced_connected_corner_cases():
     assert g.induced_connected([2]) is True  # singleton, even without edges
     with pytest.raises(ValueError):
         g.induced_connected(np.zeros(3, dtype=bool))
+
+
+def test_traversals_match_scipy():
+    # multigraphs with loops and parallel edges on a random part of the ids,
+    # so most vertices are isolated and there are hundreds of components
+    rng = np.random.default_rng(41)
+    for trial in range(12):
+        n = int(rng.integers(150, 600))
+        ids = rng.choice(n, size=int(rng.integers(1, n // 2)), replace=False)
+        e = int(rng.integers(0, n))
+        src, dst = rng.choice(ids, e), rng.choice(ids, e)
+        src = np.concatenate([src, src[:5], ids[:3]])      # parallels and loops
+        dst = np.concatenate([dst, dst[:5], ids[:3]])
+        g = toy_graph(n, seed=trial, edge_src=src, edge_dst=dst,
+                      edge_kind=np.zeros(src.size, dtype=np.int8))
+        a = g.adjacency_csr
+        ncomp, labels = graph._components(a.indptr, a.indices)
+        want_ncomp, want_labels = connected_components(a, directed=False)
+        assert ncomp == want_ncomp >= 100
+        assert np.array_equal(labels, want_labels)
+        for k in (1, 2, 7):
+            sources = rng.choice(n, size=k, replace=False)
+            d = shortest_path(a, directed=False, unweighted=True, indices=sources).min(axis=0)
+            want = np.where(np.isfinite(d), d, -1).astype(np.int64)
+            assert np.array_equal(graph._hop_distances(a.indptr, a.indices, sources), want)
+            # confined to a mask: the same on the induced subgraph, whose
+            # outside vertices are unreachable
+            inside = rng.random(n) < 0.7
+            inside[sources] = True
+            keep = sp.diags(inside.astype(np.float64))
+            d = shortest_path(keep @ a @ keep, directed=False, unweighted=True,
+                              indices=sources).min(axis=0)
+            want = np.where(np.isfinite(d), d, -1).astype(np.int64)
+            got = graph._hop_distances(a.indptr, a.indices, sources, inside=inside)
+            assert np.array_equal(got, want)
+    # edgeless and single-vertex graphs
+    for n in (1, 5):
+        g = toy_graph(n, edge_src=[], edge_dst=[], edge_kind=[])
+        a = g.adjacency_csr
+        ncomp, labels = graph._components(a.indptr, a.indices)
+        assert ncomp == n and labels.tolist() == list(range(n))
+        assert graph._hop_distances(a.indptr, a.indices, [0]).tolist() == [0] + [-1] * (n - 1)
 
 
 def test_adjacency_drops_loops_keeps_parallels():

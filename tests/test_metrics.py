@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import connected_components
 from scipy.special import zeta
 
 from gpanet import graph
@@ -347,13 +348,22 @@ class TestDiameter:
 
     @pytest.mark.parametrize("model", ["base", "hybrid", "selfloop"])
     def test_bfs_all_matches_all_pairs_on_generated_graphs(self, model):
-        # big enough that eccentricity bounds rule out most BFS sources
-        g, _ = generate(ModelConfig(model=model, n=1500, m=2, xi=1.0, r=0.3,
-                                    seed=5))
-        dist = shortest_path(g.adjacency_csr, directed=False, unweighted=True)
-        want = int(dist[np.isfinite(dist)].max())
-        rep = diameter(g, "component-wise")
-        assert rep.diameter == want and rep.method == "bfs-all"
+        # big enough that eccentricity bounds rule out most BFS sources; at
+        # r=0.05 and 0.02 a base graph is hundreds of components, most of
+        # them isolated births, and the other two stay connected through
+        # their tree edges with diameters up to 79
+        for r in (0.3, 0.05, 0.02):
+            g, _ = generate(ModelConfig(model=model, n=1500, m=2, xi=1.0, r=r, seed=5))
+            want = component_diameters_scan(g.adjacency_csr)
+            rep = diameter(g, "component-wise")
+            assert rep.component_diameters == want and rep.method == "bfs-all"
+            assert rep.n_components == len(want) and rep.connected == (len(want) == 1)
+            if len(want) == 1:
+                assert diameter(g, "exact") == dataclasses.replace(
+                    rep, mode="exact", component_diameters=None)
+            else:
+                with pytest.raises(ValueError, match=f"^graph has {len(want)} components; "):
+                    diameter(g, "exact")
 
     def test_bfs_all_on_cycle(self):
         # every eccentricity equals the diameter, so bounds rule out only the
@@ -430,6 +440,19 @@ class TestNeighborhood:
         with pytest.raises(ValueError):
             r_neighborhood(g, 10, 0.5)
 
+    def test_fractional_center_rejected(self):
+        # 3.7 used to be truncated to centre 3
+        g, _ = generate(ModelConfig(model="hybrid", n=200, m=2, xi=1.0, r=0.5, seed=1))
+        for fn in (r_neighborhood, long_degree_sum):
+            with pytest.raises(ValueError, match="integers"):
+                fn(g, 3.7, 0.4)
+        with pytest.raises(ValueError, match="integers"):
+            community_check(g, 3.7, 0.4, 1.0, 0.25, 1e9)
+        assert np.array_equal(r_neighborhood(g, 3.0, 0.4), r_neighborhood(g, 3, 0.4))
+        assert long_degree_sum(g, 3.0, 0.4) == long_degree_sum(g, 3, 0.4) > 0
+        assert (community_check(g, 3.0, 0.4, 1.0, 0.25, 1e9)
+                == community_check(g, 3, 0.4, 1.0, 0.25, 1e9))
+
 
 class TestCommunityCheck:
     def test_whole_graph_errors(self):
@@ -457,7 +480,7 @@ class TestCommunityCheck:
         def refuse(*args, **kwargs):
             raise AssertionError("connectivity pass over a cap of all of V")
 
-        monkeypatch.setattr(graph, "connected_components", refuse)
+        monkeypatch.setattr(graph, "_hop_distances", refuse)
         with pytest.raises(ValueError, match="^conductance undefined for S = V$"):
             community_check(g, 0, np.pi, 1.0, 0.25, 1e9)
 
@@ -603,25 +626,33 @@ class TestUrtStats:
     def test_base_model_rejected(self):
         g, _ = generate(ModelConfig(model="base", n=10, m=2, xi=1.0, r=1.0,
                                     seed=1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^model 'base' has no tree-edge kind$"):
             urt_stats(g)
 
     def test_non_spanning_rejected(self):
         kind = np.full(2, EdgeKind.LONG, dtype=np.int8)
         g = make_graph([1, 2], [0, 1], kind=kind, n=4, model="hybrid")
-        with pytest.raises(ValueError):
-            urt_stats(g)  # only 2 long edges for 4 vertices
+        with pytest.raises(ValueError, match="^2 tree edges for 4 vertices; not a spanning tree$"):
+            urt_stats(g)
 
     def test_cycle_rejected(self):
         kind = np.full(3, EdgeKind.LONG, dtype=np.int8)
         g = make_graph([1, 2, 0], [0, 1, 2], kind=kind, n=4, model="hybrid")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^tree edges split into 2 components; not a spanning tree$"):
             urt_stats(g)  # triangle + isolated vertex
+        # three triangles and a lone vertex: n - 1 edges in four components
+        src, dst = np.arange(9), np.arange(9).reshape(3, 3)[:, [1, 2, 0]].ravel()
+        g = make_graph(src, dst, kind=np.full(9, EdgeKind.LONG, dtype=np.int8), n=10,
+                       model="hybrid")
+        with pytest.raises(ValueError,
+                           match="^tree edges split into 4 components; not a spanning tree$"):
+            urt_stats(g)
 
     def test_loop_rejected(self):
         kind = np.full(3, EdgeKind.LONG, dtype=np.int8)
         g = make_graph([1, 2, 3], [0, 1, 3], kind=kind, n=4, model="hybrid")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^tree edges contain a self-loop$"):
             urt_stats(g)
 
 
