@@ -29,11 +29,11 @@ _PAD = 2e-6
 _MAX_BANDS = 512
 
 
-def _spans(first: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """Concatenation of arange(first[i], end[i]) over i."""
+def _spans(first: np.ndarray, end: np.ndarray, out=None) -> np.ndarray:
+    """Concatenation of arange(first[i], end[i]) over i, written to out if given."""
     length = end - first
     shift = (first + length - length.cumsum()).repeat(length)
-    return shift + np.arange(shift.size)
+    return np.add(shift, np.arange(shift.size), out=out)
 
 
 class CapIndex:
@@ -75,6 +75,7 @@ class CapIndex:
         # columns in grid order
         self._key = slots[self._order] * n + self._order
         self._cols = np.ascontiguousarray(points[self._order].T)
+        self._work = None
 
     def _slot_ranges(self, centers: np.ndarray, R: float):
         """(owner, first, end): half-open slot ranges that cover the caps (centers[i], R).
@@ -134,14 +135,33 @@ class CapIndex:
             limit = np.minimum(np.maximum(before, 0), self._n)
             first = self._start[slot]
             end = self._key.searchsorted(slot * self._n + (limit[owner] if limit.ndim else limit))
-        pos = _spans(first, end)
+        pos, coords, dot, inside = self._scratch(int((end - first).sum()))
+        _spans(first, end, out=pos)
         # the gathered rows are grouped by owner: repeat each centre over its group
         per = np.bincount(owner, weights=end - first, minlength=centers.shape[0]).astype(np.int64)
-        dot = self._cols.take(pos, axis=1)
-        dot *= centers.T.repeat(per, axis=1)
-        keep = np.flatnonzero(dot.sum(axis=0) >= np.cos(R) - DOT_TOL)
+        # mode="clip" writes to out directly; the default mode buffers it
+        np.take(self._cols, pos, axis=1, out=coords, mode="clip")
+        coords *= centers.T.repeat(per, axis=1)
+        np.add.reduce(coords, axis=0, out=dot)
+        np.greater_equal(dot, np.cos(R) - DOT_TOL, out=inside)
+        keep = np.flatnonzero(inside)
         ptr = keep.searchsorted(np.concatenate([[0], per.cumsum()]))
         return self._order[pos[keep]], ptr
+
+    def _scratch(self, size: int):
+        """Work arrays for size gathered rows: their positions, coordinates
+        (3, size), dot products and kept mask.
+
+        They live as long as the index and grow by doubling, so a run of
+        members calls allocates no large array per call; the result never
+        refers to them.
+        """
+        if self._work is None or self._work[0].size < size:
+            cap = max(size, 2 * (0 if self._work is None else self._work[0].size))
+            self._work = (np.empty(cap, dtype=np.int64), np.empty(3 * cap),
+                          np.empty(cap), np.empty(cap, dtype=bool))
+        pos, coords, dot, inside = self._work
+        return pos[:size], coords[:3 * size].reshape(3, size), dot[:size], inside[:size]
 
     def query(self, center: np.ndarray, R: float, before: int) -> np.ndarray:
         """Rows < before within R of center (grid order); kept for perfbench/spans.py."""

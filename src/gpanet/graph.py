@@ -5,19 +5,21 @@ as separate records and a self-loop (src == dst) contributes exactly 1 to its
 vertex's degree.  Flexible self-loops of the self-loop model are not edge
 records; they live in a per-vertex counter, since they are removable.
 
-Traversals run on the indptr/indices arrays of a CSR adjacency:
-_hop_distances is a level-synchronous BFS from a set of sources, optionally
-confined to a vertex mask, and _components labels every connected component
-in one pass by min-label propagation with pointer jumping.
+The adjacency is a CSR built in numpy (_symmetric_csr) with the arrays and
+dtypes scipy.sparse would give, so gpanet does not import scipy.  Traversals
+run on its indptr/indices arrays: _hop_distances is a level-synchronous BFS
+from a set of sources, optionally confined to a vertex mask, and _components
+labels every connected component in one pass by min-label propagation with
+pointer jumping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .capindex import CapIndex, _spans
 from .sphere import to_angles, unit_rows
@@ -74,12 +76,88 @@ def _integer_ids(a) -> np.ndarray:
     return a.astype(np.int64, copy=False)
 
 
+def _distinct(a) -> np.ndarray:
+    """The sorted distinct values of a, as np.unique gives them.
+
+    np.unique imports numpy.ma on its first call (numpy 2.4), about 12 ms
+    and 1.2 MiB that the first cap or diameter would pay.
+    """
+    a = np.sort(a, axis=None)
+    first = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return a[first]
+
+
 def _vertex_id(v, n: int) -> int:
     """v as one vertex id in range(n); a fractional or out-of-range v raises."""
     v = int(_integer_ids(v))
     if not 0 <= v < n:
         raise ValueError(f"vertex {v} out of range")
     return v
+
+
+class CSR(NamedTuple):
+    """A square sparse matrix in compressed sparse row form: the columns of
+    row i are indices[indptr[i]:indptr[i + 1]], its values the same slice
+    of data."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.indptr.size - 1,) * 2
+
+
+def _symmetric_csr(src, dst, n: int) -> CSR:
+    """Adjacency of an undirected multigraph: entry (u, v) counts the u-v
+    edges, self-loops dropped.
+
+    The arrays equal those of scipy's A + A.T for A =
+    csr_matrix((ones(int32), (src, dst))) without loops: rows list ascending
+    columns, and indices, indptr and data are int32 while they fit.  Each
+    unordered pair {lo < hi} is one int64 key lo * n + hi; sorting the keys
+    in place and counting runs gives the pairs ascending by (lo, hi) with
+    their multiplicities, i.e. the upper triangle in row order.  Row r
+    holds its lower part (columns < r, the pairs with hi = r, by lo) before
+    its upper part, so sorting the pairs by (hi, lo) places the lower
+    triangle.  Only the key is edge-long; every later array is pair-long,
+    and generated graphs often have half as many pairs as edges.
+    """
+    key = np.minimum(src, dst)
+    key *= n - 1
+    key += src
+    key += dst                       # min * n + max
+    key[src == dst] = n * n          # loops sort past every pair
+    key.sort()
+    key = key[:key.searchsorted(n * n)]
+    new = np.empty(key.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    del new
+    count = np.diff(first, append=key.size).astype(np.int32)
+    idx = np.int32 if max(n, 2 * first.size) <= np.iinfo(np.int32).max else np.int64
+    lo, hi = np.empty(first.size, dtype=idx), np.empty(first.size, dtype=idx)
+    np.divmod(key[first], n, out=(lo, hi))
+    del key, first
+    n_lo, n_hi = np.bincount(lo, minlength=n), np.bincount(hi, minlength=n)
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(n_lo + n_hi, out=indptr[1:])
+    upper = np.tile([False, True], n).repeat(np.stack([n_hi, n_lo], axis=1).ravel())
+    indices = np.empty(2 * lo.size, dtype=idx)
+    data = np.empty(2 * lo.size, dtype=np.int32)
+    indices[upper] = hi
+    data[upper] = count
+    np.logical_not(upper, out=upper)
+    by_hi = np.multiply(hi, n, dtype=np.int64)
+    del hi
+    by_hi += lo
+    by_hi = by_hi.argsort()          # the keys are distinct: any sort is stable
+    indices[upper] = lo[by_hi]
+    data[upper] = count[by_hi]
+    return CSR(indptr, indices, data)
 
 
 def _hop_distances(indptr, indices, sources, inside=None) -> np.ndarray:
@@ -164,8 +242,8 @@ class EvolvingGraph:
         self.positions = np.ascontiguousarray(unit_rows(positions, "positions"))
         n = self.positions.shape[0]
 
-        self.edge_src = np.asarray(edge_src, dtype=np.int64)
-        self.edge_dst = np.asarray(edge_dst, dtype=np.int64)
+        self.edge_src = _integer_ids(edge_src)
+        self.edge_dst = _integer_ids(edge_dst)
         self.edge_kind = np.asarray(edge_kind, dtype=np.int8)
         if not (self.edge_src.shape == self.edge_dst.shape == self.edge_kind.shape):
             raise ValueError("edge arrays must have equal length")
@@ -185,6 +263,8 @@ class EvolvingGraph:
         if isolated_birth is None:
             isolated_birth = np.zeros(n, dtype=bool)
         self.isolated_birth = np.asarray(isolated_birth, dtype=bool)
+        if self.isolated_birth.shape != (n,):
+            raise ValueError("isolated_birth must be n flags")
         self.birth_time = np.arange(1, n + 1, dtype=np.int64)
         self.config = config
 
@@ -259,7 +339,7 @@ class EvolvingGraph:
         S = _integer_ids(S)
         if S.size and (S.min() < 0 or S.max() >= self.n):
             raise ValueError("vertex id out of range")
-        return np.unique(S)
+        return _distinct(S)
 
     def volume(self, S) -> int:
         """Sum of total degrees over S (self-loops counting 1 each)."""
@@ -314,18 +394,11 @@ class EvolvingGraph:
     # -- derived structures --------------------------------------------------
 
     @property
-    def adjacency_csr(self) -> sp.csr_matrix:
+    def adjacency_csr(self) -> CSR:
         """Symmetric adjacency over all edge kinds: entry (u, v) is the number
         of u-v edges, self-loops dropped."""
         if self._csr is None:
-            sel = self.edge_src != self.edge_dst
-            # one direction from int32 pairs, then symmetrised: building from
-            # int64 pairs of both directions costs several times the memory
-            one_way = sp.csr_matrix(
-                (np.ones(np.count_nonzero(sel), dtype=np.int32),
-                 (self.edge_src[sel].astype(np.int32), self.edge_dst[sel].astype(np.int32))),
-                shape=(self.n, self.n))
-            self._csr = one_way + one_way.T
+            self._csr = _symmetric_csr(self.edge_src, self.edge_dst, self.n)
         return self._csr
 
     @property

@@ -4,8 +4,9 @@ community certification, expander scans, tree statistics, concentration.
 All operations are read-only.  Neighborhoods C_R(v) are geometric (angular
 balls around the vertex position), not graph-distance balls.  Components,
 hop distances and the diameter's sweeps run on the adjacency's CSR arrays
-(graph._components, graph._hop_distances), so scipy's graph package is
-never loaded.
+(graph._components, graph._hop_distances), and log-Gamma and the Hurwitz
+zeta are ports of the Cephes routines scipy.special evaluates (_lgam,
+_zeta), so gpanet imports no scipy.
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ from dataclasses import dataclass, fields, is_dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import gammaln, zeta
 
 from .capindex import _spans
-from .graph import (EdgeKind, EvolvingGraph, _components, _hop_distances, _integer_ids,
-                    _vertex_id, _write_csv)
+from .graph import (EdgeKind, EvolvingGraph, _components, _distinct, _hop_distances,
+                    _integer_ids, _symmetric_csr, _vertex_id, _write_csv)
 from .sphere import _check_radius, cap_area
 
 
@@ -111,12 +110,155 @@ def analytic_fk(k, m: int, xi: float, delta: float):
     kf = karr.astype(np.float64)
     log_fm = math.log(2.0 + xi) - math.log(2.0 + xi + m + delta)
     with np.errstate(invalid="ignore"):
-        log_ratio = (gammaln(kf + delta) + gammaln(m + 3.0 + xi + delta)
-                     - gammaln(kf + 3.0 + xi + delta) - gammaln(m + delta))
+        log_ratio = (_gammaln(kf + delta) + _lgam(m + 3.0 + xi + delta)
+                     - _gammaln(kf + 3.0 + xi + delta) - _lgam(m + delta))
     out = np.where(karr >= m, np.exp(log_fm + log_ratio), 0.0)
     if karr.ndim == 0:
         return float(out)
     return out
+
+
+# Log-Gamma and the Hurwitz zeta, ported step for step from Cephes (S. L.
+# Moshier, Methods and Programs for Mathematical Functions, 1989), whose code
+# scipy.special evaluates for gammaln and zeta(x, q).  Every step runs on
+# Python floats in Cephes' order, with math.log, math.sin and ** calling the
+# C library as Cephes does, so the results are bit-identical to scipy's.
+
+_MACHEP = 1.11022302462515654042e-16
+_LS2PI = 0.91893853320467274178           # log(sqrt(2 pi))
+_LOGPI = 1.14472988584940017414
+_MAXLGM = 2.556348e305
+# Stirling series of log Gamma
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+           7.93650340457716943945e-4, -2.77777777730099687205e-3,
+           8.33333333333331927722e-2)
+# rational approximation of log Gamma on [2, 3]; _LGAM_C has a leading 1
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4,
+           -3.31612992738871184744e5, -1.16237097492762307383e6,
+           -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (1.0, -3.51815701436523470549e2, -1.70642106651881159223e4,
+           -2.20528590553854454839e5, -1.13933444367982507207e6,
+           -2.53252307177582951285e6, -2.01889141433532773231e6)
+# (2k)! / B_2k, the Euler-Maclaurin coefficients of the zeta tail
+_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
+           -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12,
+           1.1646782814350067249e14, -4.5979787224074726105e15,
+           1.8152105401943546773e17, -7.1661652561756670113e18)
+
+
+def _polevl(x: float, coef) -> float:
+    """The polynomial with coefficients coef (highest degree first) at x, by Horner."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _lgam(x: float) -> float:
+    """log |Gamma(x)|, Cephes lgam: inf at the poles, x itself when not finite."""
+    if not math.isfinite(x):
+        return x
+    if x < -34.0:   # reflection
+        q = -x
+        w = _lgam(q)
+        p = math.floor(q)
+        if p == q:
+            return math.inf
+        z = q - p
+        if z > 0.5:
+            p += 1.0
+            z = p - q
+        z = q * math.sin(math.pi * z)
+        if z == 0.0:
+            return math.inf
+        return _LOGPI - math.log(z) - w
+    if x < 13.0:    # shift into [2, 3) by the recurrence
+        z = 1.0
+        p = 0.0
+        u = x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            if u == 0.0:
+                return math.inf
+            z /= u
+            p += 1.0
+            u = x + p
+        z = abs(z)
+        if u == 2.0:
+            return math.log(z)
+        p -= 2.0
+        x = x + p
+        return math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C)
+    if x > _MAXLGM:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        q += ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+              + 0.0833333333333333333333) / x
+    else:
+        q += _polevl(p, _LGAM_A) / x
+    return q
+
+
+def _gammaln(a: np.ndarray) -> np.ndarray:
+    """_lgam of every element of a float64 array."""
+    return np.fromiter(map(_lgam, a.ravel().tolist()), np.float64, a.size).reshape(a.shape)
+
+
+def _zeta(x: float, q: float) -> float:
+    """Hurwitz zeta sum over k >= 0 of (k + q)^-x, Cephes zeta.
+
+    inf at x = 1 and at the poles q = 0, -1, ...; nan for x < 1, and for
+    q < 0 unless x is an integer.  Where q ** -x overflows (only for
+    q < 1), Python raises OverflowError where Cephes returns inf.
+    """
+    if x == 1.0:
+        return math.inf
+    if x < 1.0:
+        return math.nan
+    if q <= 0.0:
+        if q == math.floor(q):
+            return math.inf
+        if x != math.floor(x):
+            return math.nan
+    if q > 1e8:     # asymptotic expansion, DLMF 25.11.43
+        return (1 / (x - 1) + 1 / (2 * q)) * q ** (1 - x)
+    # Euler-Maclaurin summation; the term ratios are only tested where s is
+    # nonzero, since C's 0/0 and b/0 compare false and Python's division raises
+    s = q ** -x
+    a = q
+    i = 0
+    b = 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a ** -x
+        s += b
+        if s != 0.0 and abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for c in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / c
+        s = s + t
+        if s != 0.0 and abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
 
 
 class PowerLawFit(NamedTuple):
@@ -147,7 +289,7 @@ def fit_power_law_exponent(h: DegreeHistogram, k_min: int) -> PowerLawFit:
     slogk = float(np.dot(cs, np.log(ks)))
 
     def nll(alpha: float) -> float:
-        return alpha * slogk + n_tail * math.log(zeta(alpha, k_min))
+        return alpha * slogk + n_tail * math.log(_zeta(alpha, float(k_min)))
 
     alpha = _fminbound(nll, 1.0001, 12.0, xatol=1e-8)
     eps = 1e-4
@@ -164,8 +306,7 @@ def _fminbound(f, a: float, b: float, xatol: float, maxfun: int = 500) -> float:
     BSD-3-Clause licence): every floating-point operation runs in scipy's
     order, so the result is bit-identical to scipy's
     minimize_scalar(f, bounds=(a, b), method="bounded",
-    options={"xatol": xatol, "maxiter": maxfun}).x, and importing gpanet
-    does not load scipy's optimisation package.
+    options={"xatol": xatol, "maxiter": maxfun}).x without scipy.
     """
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
@@ -270,19 +411,15 @@ def _diameter_bfs_all(csr, labels) -> np.ndarray:
     # rows sit together, and empty rows come last, where or-reduce reads the
     # zero sentinel after the gathered edges instead of the next row's first;
     # ascending ids within each row keep the gathers of every level local
-    order = np.argsort(-np.diff(csr.indptr), kind="stable")
-    csr = csr[order][:, order]
-    csr.sort_indices()
-    indptr = csr.indptr.astype(np.int64)
-    indices = csr.indices.astype(np.int64)
-    del csr   # only these two arrays are read from here on
+    order, indptr, indices = _relabel_by_degree(csr)
     labels = labels[order]
-    ends = np.cumsum(np.bincount(labels)) - 1   # last slot of each label group
+    size = np.bincount(labels)
+    ends = np.cumsum(size) - 1   # last slot of each label group
 
     def farthest(dist):
         return np.lexsort((dist, labels))[ends]
 
-    roots = np.unique(labels, return_index=True)[1]
+    roots = np.argsort(labels, kind="stable")[ends + 1 - size]   # first of each label
     a = farthest(_hop_distances(indptr, indices, roots))
     d_a = _hop_distances(indptr, indices, a)
     b = farthest(d_a)
@@ -329,6 +466,28 @@ def _diameter_bfs_all(csr, labels) -> np.ndarray:
         _lower_ecc_bounds(indptr, indices, bound, src, ecc)
 
 
+def _relabel_by_degree(csr):
+    """(order, indptr, indices): the CSR adjacency with vertex order[i]
+    renamed i, for order by decreasing degree (stable), each row's columns
+    ascending, as int64 arrays.
+
+    One int64 key (new row * n + new column) per entry, sorted in place,
+    yields both the rows and, as the remainder, the columns.
+    """
+    n = csr.shape[0]
+    deg = np.diff(csr.indptr)
+    order = np.argsort(-deg, kind="stable")
+    new = np.empty(n, dtype=np.int64)
+    new[order] = np.arange(n)
+    key = new.repeat(deg)
+    key *= n
+    key += new[csr.indices]
+    key.sort()
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg[order], out=indptr[1:])
+    return order, indptr, np.remainder(key, n, out=key)
+
+
 def _lower_ecc_bounds(indptr, indices, bound, src, ecc) -> None:
     """Set bound[w] = min(bound[w], ecc[i] + d(src[i], w)) for every w."""
     changed = src[ecc < bound[src]]
@@ -338,7 +497,7 @@ def _lower_ecc_bounds(indptr, indices, bound, src, ecc) -> None:
         nbrs = indices[_spans(first, end)]
         before = bound[nbrs]
         np.minimum.at(bound, nbrs, np.repeat(bound[changed] + 1, end - first))
-        changed = np.unique(nbrs[bound[nbrs] < before])
+        changed = _distinct(nbrs[bound[nbrs] < before])
 
 
 def diameter(g: EvolvingGraph, mode: str = "exact") -> DiameterReport:
@@ -446,9 +605,7 @@ def urt_stats(g: EvolvingGraph) -> TreeStats:
         raise ValueError(f"{src.size} tree edges for {n} vertices; not a spanning tree")
     if (src == dst).any():
         raise ValueError("tree edges contain a self-loop")
-    ones = np.ones(src.size, dtype=np.int8)
-    adj = sp.csr_matrix((ones, (src, dst)), shape=(n, n))
-    adj = adj + adj.T
+    adj = _symmetric_csr(src, dst, n)
     d_0 = _hop_distances(adj.indptr, adj.indices, [0])
     if (d_0 < 0).any():
         ncomp = _components(adj.indptr, adj.indices)[0]
@@ -575,6 +732,15 @@ class ExpanderScanReport:
         return json_ready(self)
 
 
+def _median(a: np.ndarray) -> float:
+    """np.median of a nonempty 1-d array of finite values (bit for bit
+    unless a middle value is near the float64 maximum), without the
+    numpy.ma import that np.median and np.nanmedian make on their first
+    call."""
+    a = np.sort(a)
+    return (a[(a.size - 1) // 2] + a[a.size // 2]) / 2
+
+
 def expander_scan(g: EvolvingGraph, v_sample, R_list) -> ExpanderScanReport:
     """Conductance of C_R(v) for each sampled center and radius.
 
@@ -625,8 +791,8 @@ def expander_scan(g: EvolvingGraph, v_sample, R_list) -> ExpanderScanReport:
     with np.errstate(all="ignore"):
         min_phi = np.array([np.nanmin(row) if np.isfinite(row).any() else np.nan
                             for row in phi])
-        median_phi = np.array([np.nanmedian(row) if np.isfinite(row).any() else np.nan
-                               for row in phi])
+        median_phi = np.array([_median(row[np.isfinite(row)]) if np.isfinite(row).any()
+                               else np.nan for row in phi])
     return ExpanderScanReport(radii=radii, centers=centers, sizes=sizes,
                               conductance=phi, flags=flags,
                               min_phi=min_phi, median_phi=median_phi)

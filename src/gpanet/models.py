@@ -22,6 +22,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy 2 imports numpy.random on the first np.random access, about 12 ms
+# that would otherwise land inside the first generate call
+import numpy.random  # noqa: F401
 
 from .capindex import CapIndex
 from .graph import MODEL_NAMES as MODELS

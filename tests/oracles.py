@@ -1,9 +1,26 @@
 """Brute-force reference implementations the fast code is checked against."""
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from gpanet.capindex import DOT_TOL
+
+
+def scipy_csr(csr):
+    """gpanet's CSR adjacency as a scipy matrix over the same arrays."""
+    return sp.csr_matrix((csr.data, csr.indices, csr.indptr), shape=csr.shape)
+
+
+def scipy_adjacency(src, dst, n):
+    """scipy's symmetric multigraph adjacency, loops dropped: the reference
+    for graph._symmetric_csr."""
+    src, dst = np.asarray(src), np.asarray(dst)
+    sel = src != dst
+    one_way = sp.csr_matrix((np.ones(np.count_nonzero(sel), dtype=np.int32),
+                             (src[sel].astype(np.int32), dst[sel].astype(np.int32))),
+                            shape=(n, n))
+    return one_way + one_way.T
 
 
 def cap_members_scan(points, ids, center, R):
@@ -90,9 +107,10 @@ def diameter_scan(adj_lists, nodes):
     return best
 
 
-def component_diameters_scan(adj):
+def component_diameters_scan(csr):
     """Diameter of each component, descending, by all-pairs shortest paths
     on that component's own submatrix."""
+    adj = scipy_csr(csr)
     ncomp, labels = connected_components(adj, directed=False)
     diams = []
     for c in range(ncomp):

@@ -6,10 +6,11 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 from gpanet import graph
 from gpanet.graph import EdgeKind, EvolvingGraph
 from gpanet.metrics import DegreeHistogram
-from gpanet.models import GenerationTrace
+from gpanet.models import GenerationTrace, ModelConfig, generate
 from gpanet.sphere import sample_uniform
 
-from oracles import boundary_scan, conductance_scan, connected_scan, volume_scan
+from oracles import (boundary_scan, conductance_scan, connected_scan, scipy_adjacency,
+                     scipy_csr, volume_scan)
 
 
 def toy_graph(n=6, seed=3, model="base", **kw):
@@ -198,7 +199,7 @@ def test_traversals_match_scipy():
         dst = np.concatenate([dst, dst[:5], ids[:3]])
         g = toy_graph(n, seed=trial, edge_src=src, edge_dst=dst,
                       edge_kind=np.zeros(src.size, dtype=np.int8))
-        a = g.adjacency_csr
+        a = scipy_csr(g.adjacency_csr)
         ncomp, labels = graph._components(a.indptr, a.indices)
         want_ncomp, want_labels = connected_components(a, directed=False)
         assert ncomp == want_ncomp >= 100
@@ -234,7 +235,7 @@ def test_adjacency_drops_loops_keeps_parallels():
         dst = np.array([0] + [1, 0] * (k // 2) + [2])
         g = toy_graph(3, edge_src=src, edge_dst=dst,
                       edge_kind=np.zeros(src.size, dtype=np.int8))
-        a = g.adjacency_csr
+        a = scipy_csr(g.adjacency_csr)
         assert a[0, 1] == k  # multiplicity preserved
         assert a[1, 0] == k
         assert a[0, 0] == 0  # loop dropped in adjacency form
@@ -269,6 +270,57 @@ def test_validation_errors():
         EvolvingGraph(model="base", positions=pos,
                       edge_src=np.array([0]), edge_dst=np.array([1]),
                       edge_kind=np.int8([7]))
+
+
+def test_constructor_rejects_fractional_endpoints_and_misshapen_flags():
+    rng = np.random.default_rng(1)
+    pos = sample_uniform(rng, 3)
+    kind = np.int8([0, 0])
+    # 0.5 used to become vertex 0
+    for src, dst in (([0.5, 1], [1, 2]), ([0, 1], [1, 2.25]), ([0, np.nan], [1, 2])):
+        with pytest.raises(ValueError, match="^vertex ids must be integers$"):
+            EvolvingGraph(model="base", positions=pos, edge_src=np.array(src),
+                          edge_dst=np.array(dst), edge_kind=kind)
+    g = EvolvingGraph(model="base", positions=pos, edge_src=np.array([0.0, 1.0]),
+                      edge_dst=[1, 2], edge_kind=kind)
+    assert g.edge_src.dtype == np.int64 and g.edge_src.tolist() == [0, 1]
+    # one flag per vertex: 5 flags for 3 vertices used to pass
+    for flags in (np.zeros(5, dtype=bool), np.zeros(2, dtype=bool), np.zeros((3, 1), dtype=bool)):
+        with pytest.raises(ValueError, match="^isolated_birth must be n flags$"):
+            EvolvingGraph(model="base", positions=pos, edge_src=[0, 1], edge_dst=[1, 2],
+                          edge_kind=kind, isolated_birth=flags)
+
+
+def _multigraphs():
+    """(name, src, dst, n): hand-built multigraphs with loops, parallel edges
+    in both directions and isolated vertices, an edgeless graph, and the
+    three generated models at caps small enough for isolated births."""
+    rng = np.random.default_rng(17)
+    for trial in range(8):
+        n = int(rng.integers(2, 400))
+        ids = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        e = int(rng.integers(0, 3 * n))
+        src, dst = rng.choice(ids, e), rng.choice(ids, e)
+        yield (f"random-{trial}", np.concatenate([src, dst[:9], ids[:4]]),
+               np.concatenate([dst, src[:9], ids[:4]]), n)
+    yield "edgeless", np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 7
+    yield "loops-only", np.arange(5), np.arange(5), 5
+    for model in ("base", "hybrid", "selfloop"):
+        g, _ = generate(ModelConfig(model=model, n=600, m=3, xi=1.0, r=0.08, seed=4))
+        assert g.isolated_birth.any()
+        yield model, g.edge_src, g.edge_dst, g.n
+
+
+@pytest.mark.parametrize("name,src,dst,n", list(_multigraphs()))
+def test_adjacency_csr_equals_scipy(name, src, dst, n):
+    kind = np.zeros(src.size, dtype=np.int8)
+    g = toy_graph(n, edge_src=src, edge_dst=dst, edge_kind=kind)
+    got, want = g.adjacency_csr, scipy_adjacency(src, dst, n)
+    assert got.shape == want.shape == (n, n)
+    for field in ("indptr", "indices", "data"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype == np.int32, field
+        assert np.array_equal(a, b), field
 
 
 def test_csv_round_trip(tmp_path):

@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.sparse.csgraph import connected_components
-from scipy.special import zeta
+from scipy.special import gammaln, zeta
 
 from gpanet import graph
 from gpanet.graph import EdgeKind, EvolvingGraph
 from gpanet.metrics import (FLAG_ALL, FLAG_LOOP_ONLY, FLAG_OK,
                             FLAG_ZERO_VOLUME, CommunityReport,
                             ConcentrationReport, DegreeHistogram,
-                            DiameterReport, PowerLawFit, _fminbound, analytic_fk,
+                            DiameterReport, PowerLawFit, _fminbound, _gammaln,
+                            _lgam, _relabel_by_degree, _zeta, analytic_fk,
                             community_check, concentration_report,
                             degree_histogram, diameter, expander_scan,
                             fit_power_law_exponent, json_ready,
@@ -24,7 +25,8 @@ from gpanet.models import GenerationTrace, ModelConfig, default_probes, generate
 from gpanet.sphere import cap_area, sample_uniform
 
 from oracles import (cap_members_scan, component_diameters_scan,
-                     conductance_scan, connected_scan, diameter_scan, sample_zipf)
+                     conductance_scan, connected_scan, diameter_scan, sample_zipf,
+                     scipy_csr)
 
 
 def _reject_constant(name):
@@ -201,6 +203,78 @@ class TestAnalyticFk:
             analytic_fk(3, 2, 1.0, 0.0)
 
 
+    def test_equals_scipy_gammaln_form(self):
+        # k below the mode, at poles of Gamma(k + delta), and inf and nan are
+        # masked or propagate exactly as with scipy's gammaln
+        rng = np.random.default_rng(5)
+        ks = np.concatenate([np.arange(-60, 3000), rng.uniform(-50.0, 1e7, 2000),
+                             [np.inf, -np.inf, np.nan, 1e9, 3e305]])
+        for m, xi, delta in [(1, 1.0, 1.0), (2, 1.0, 2.0), (3, 0.7, 2.0), (24, 1.0, 24.0)]:
+            with np.errstate(invalid="ignore"):
+                log_ratio = (gammaln(ks + delta) + gammaln(m + 3.0 + xi + delta)
+                             - gammaln(ks + 3.0 + xi + delta) - gammaln(m + delta))
+            log_fm = math.log(2.0 + xi) - math.log(2.0 + xi + m + delta)
+            want = np.where(ks >= m, np.exp(log_fm + log_ratio), 0.0)
+            assert np.array_equal(analytic_fk(ks, m, xi, delta), want, equal_nan=True)
+
+
+class TestCephesPorts:
+    """_lgam and _zeta against scipy.special, which evaluates the same
+    Cephes code: every result must be the same double (or both nan)."""
+
+    @staticmethod
+    def assert_same(got, want):
+        got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+        bad = ~((got == want) | (np.isnan(got) & np.isnan(want)))
+        assert not bad.any(), f"{bad.sum()} differ, first at index {np.flatnonzero(bad)[:5]}"
+
+    def test_lgam_equals_gammaln(self):
+        rng = np.random.default_rng(2024)
+        x = np.concatenate([
+            rng.uniform(-80.0, -34.0, 10000),        # reflection
+            rng.uniform(-34.0, 13.0, 40000),         # recurrence into [2, 3)
+            np.round(rng.uniform(-60.0, 13.0, 2000)),   # poles and exact [2, 3) starts
+            rng.uniform(13.0, 1000.0, 20000),        # Stirling series
+            10.0 ** rng.uniform(3.0, 8.0, 15000),    # its two-term tail
+            10.0 ** rng.uniform(8.0, 306.0, 15000),  # leading term only, and > MAXLGM
+            [np.inf, -np.inf, np.nan, 0.0, -0.0, 1.0, 2.0, 3.0, 13.0, 1000.0, 1e8,
+             1e8 * (1 + 2 ** -52), 2.556348e305, 2.6e305, 5e-324, -5e-324, -34.0,
+             -34.5, np.nextafter(13.0, 0.0), np.nextafter(2.0, 3.0)],
+        ])
+        assert x.size >= 100000
+        with np.errstate(all="ignore"):
+            want = gammaln(x)
+        self.assert_same(_gammaln(x), want)
+        assert type(_lgam(7.5)) is float
+        assert _gammaln(np.zeros((2, 3))).shape == (2, 3)
+
+    def test_zeta_equals_scipy(self):
+        rng = np.random.default_rng(2025)
+        x = np.concatenate([
+            rng.uniform(1.0, 13.0, 60000),      # the fit's exponents, k_min below
+            rng.uniform(40.0, 80.0, 15000),     # the first sum stops early
+            rng.uniform(1.0, 13.0, 15000),
+            rng.uniform(1.0, 13.0, 10000),
+        ])
+        q = np.concatenate([
+            rng.integers(1, 200, 60000).astype(np.float64),
+            rng.uniform(0.5, 50.0, 15000),
+            10.0 ** rng.uniform(-0.3, 8.0, 15000),   # the Euler-Maclaurin tail
+            10.0 ** rng.uniform(8.0, 300.0, 10000),  # the asymptotic expansion
+        ])
+        specials = [(1.0, 2.0), (0.5, 2.0), (-np.inf, 2.0), (2.0, 0.0), (2.0, -3.0),
+                    (2.0, -1.5), (2.5, -1.5), (np.nan, 2.0), (2.0, np.nan),
+                    (np.inf, 1.0), (np.inf, 2.0), (np.inf, 1e9), (2.0, np.inf),
+                    (3.0, 1e8), (3.0, 1e8 * (1 + 2 ** -52)), (300.0, 1e7),
+                    (1.0 + 2 ** -52, 1.0), (1.0001, 1.0), (12.0001, 1.0)]
+        x = np.concatenate([x, [a for a, _ in specials]])
+        q = np.concatenate([q, [b for _, b in specials]])
+        assert x.size >= 100000
+        got = [_zeta(a, b) for a, b in zip(x.tolist(), q.tolist())]
+        with np.errstate(all="ignore"):
+            self.assert_same(got, zeta(x, q))
+
+
 # ---------------------------------------------------------------------------
 # exponent fitting
 
@@ -325,6 +399,23 @@ class TestDiameter:
         n = 40
         g = make_graph(np.zeros(n - 1, dtype=np.int64), np.arange(1, n), n=n)
         assert diameter(g).diameter == 2
+
+    def test_relabel_equals_scipy_permutation(self):
+        # the degree relabelling equals scipy's csr[order][:, order] with
+        # sorted indices, on generated graphs and on a star beside isolated
+        # vertices (ties in degree keep id order)
+        graphs = [generate(ModelConfig(model=model, n=700, m=3, xi=1.0, r=r, seed=3))[0]
+                  for model in ("base", "hybrid", "selfloop") for r in (0.05, 0.4)]
+        graphs.append(make_graph([0] * 6 + [8], [1, 2, 4, 5, 6, 7, 8], n=10))
+        for g in graphs:
+            csr = g.adjacency_csr
+            order, indptr, indices = _relabel_by_degree(csr)
+            assert np.array_equal(order, np.argsort(-np.diff(csr.indptr), kind="stable"))
+            want = scipy_csr(csr)[order][:, order]
+            want.sort_indices()
+            assert indptr.dtype == indices.dtype == np.int64
+            assert np.array_equal(indptr, want.indptr)
+            assert np.array_equal(indices, want.indices)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(77)
@@ -492,7 +583,7 @@ class TestCommunityCheck:
         # crossing edges from the edge list
         g, _ = generate(ModelConfig(model=model, n=400, m=2, xi=1.0, r=0.05, seed=7))
         assert g.isolated_birth.sum() > g.n // 2
-        adj = g.adjacency_csr
+        adj = scipy_csr(g.adjacency_csr)
         rng = np.random.default_rng(0)
         seen = set()
         for v in rng.choice(g.n, 30, replace=False):
