@@ -329,6 +329,55 @@ class TestUsageErrors:
         assert cli_main(argv) == 2
 
 
+def test_degree_fits_leave_scipy_optimize_unloaded(tmp_path):
+    # a fresh interpreter, since this test process imports scipy.optimize
+    # as the reference for the fit's minimiser
+    script = f"""
+import json, sys
+from gpanet.cli import cli_main
+from gpanet.harness import ExperimentSpec, run_experiment
+from gpanet.models import ModelConfig
+assert cli_main(["degrees", *{GEN!r}, "--json"]) == 0
+cfg = ModelConfig(model="base", n=150, m=2, xi=1.0, r=0.6, seed=0)
+index = run_experiment(ExperimentSpec(cfg, (1,), ("degrees",), {str(tmp_path)!r}))
+assert index["errors"] == [], index["errors"]
+sys.exit("scipy.optimize" in sys.modules)
+"""
+    src = str(Path(gpanet.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert isinstance(json.loads(done.stdout)["exponent"], float)
+
+
+def test_traversals_leave_scipy_graph_and_linalg_unloaded(tmp_path):
+    # a fresh interpreter, since this test process imports scipy.sparse.csgraph
+    # as the reference for the traversal routines
+    script = f"""
+import sys
+from gpanet.harness import run_experiment
+from gpanet.metrics import community_check, diameter, expander_scan, urt_stats
+from gpanet.models import ModelConfig, generate
+from test_golden import experiment_spec
+g, _ = generate(ModelConfig(model="hybrid", n=300, m=2, xi=1.0, r=0.4, seed=2))
+community_check(g, 5, 0.5, 1.0, 0.25, 1e9)
+expander_scan(g, [1, 7, 40], [0.2, 0.6])
+diameter(g, "exact")
+diameter(g, "component-wise")
+urt_stats(g)
+index = run_experiment(experiment_spec({str(tmp_path)!r}))
+assert index["errors"] == [], index["errors"]
+loaded = [m for m in ("scipy.sparse.csgraph", "scipy.linalg") if m in sys.modules]
+sys.exit(f"loaded: {{loaded}}" if loaded else 0)
+"""
+    src = str(Path(gpanet.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join([src, tests])},
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_every_command_and_analysis_runs_without_scipy(tmp_path):
     # a fresh interpreter in which importing scipy fails, since this test
     # process imports scipy as the reference for the in-repo ports
