@@ -221,7 +221,9 @@ def _cmd_experiment(args) -> int:
         for err in index["errors"]:
             print(f"error [seed {err['seed']}, {err['analysis']}]: "
                   f"{err['error']}", file=sys.stderr)
-    return 0
+    # every artifact is written even when an analysis fails; the exit status
+    # reports the failure
+    return 1 if index["errors"] else 0
 
 
 # every other subcommand runs the harness analysis of the same name

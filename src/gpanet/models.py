@@ -1,14 +1,27 @@
 """Sequential construction of the three attachment models.
 
-All three share one loop: sample the newborn's position, query the cap of
-radius r around it, and draw m contacts with replacement among cap members
-with probability proportional to (degree + delta), where "degree" is the
-model's plain/local/non-flexible count.  An empty cap is an isolated birth:
-the newborn gets 2m plain self-loops instead.  The hybrid model adds one long
-edge to a uniformly random earlier vertex; the self-loop model gives each
-newborn delta flexible self-loops and rewires one loop of the newborn plus
-one loop of a uniformly chosen holder z into a flexible edge (degree-neutral
-for both).
+Each newborn, in birth order, draws m contacts with replacement among the
+earlier vertices in its cap of radius r, with probability proportional to
+(degree + delta), where "degree" is the model's plain/local/non-flexible
+count.  An empty cap is an isolated birth: the newborn gets 2m plain
+self-loops instead.  The hybrid model adds one long edge to a uniformly
+random earlier vertex; the self-loop model gives each newborn delta flexible
+self-loops and rewires one loop of the newborn plus one loop of a uniformly
+chosen holder z into a flexible edge (degree-neutral for both).
+
+All three grow in blocks of newborns.  One cap query fetches the candidates
+of a whole block, and the block then takes its random numbers in birth
+order: each newborn's m uniforms (none after an isolated birth), then the
+number for its long or flexible edge.  The contacts follow from the
+uniforms and the weights.  Newborns that share no candidate read and write
+disjoint weights, so a block of at least _LAYER_MIN newborns (narrow caps)
+is cut into layers: a newborn's layer is one more than the highest layer of
+the earlier newborns of the block that share a candidate with it, and each
+layer draws all its contacts in one vectorised step.  A smaller block (wide
+caps, where a layer would hold only a few newborns) draws newborn by
+newborn.  Both give the contacts that per-newborn draws in birth order give,
+byte for byte, since every pick goes through _pick.  A block ends at each
+checkpoint, so the probes read the tallies after exactly that many newborns.
 
 The loop records only the draws: each newborn's m contacts and the far end
 of its long or flexible edge.  The edge list is built from them after the
@@ -20,13 +33,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 # numpy 2 imports numpy.random on the first np.random access, about 12 ms
 # that would otherwise land inside the first generate call
 import numpy.random  # noqa: F401
 
-from .capindex import CapIndex
+from .capindex import CapIndex, _spans
 from .graph import MODEL_NAMES as MODELS
 from .graph import EdgeKind, EvolvingGraph, _write_csv
 from .sphere import SpherePoint, _check_radius, sample_uniform, to_angles, unit_rows
@@ -38,6 +52,9 @@ DEFAULT_PROBE_SEED = 1729
 
 # candidate rows fetched per block of newborns; the block adapts to this
 _BLOCK_ROWS = 1 << 13
+# newborns per block from which a block draws layer by layer; with fewer
+# (wide caps) the layering costs more than the per-newborn draws it saves
+_LAYER_MIN = 64
 
 
 def default_probes(k: int, seed: int = DEFAULT_PROBE_SEED) -> np.ndarray:
@@ -155,10 +172,82 @@ class GenerationTrace:
                        self.occupancy.ravel(), self.attach_mass.ravel())
 
 
+def _pick(cum: np.ndarray, u: np.ndarray, total, base=None) -> np.ndarray:
+    """Positions in cum that the uniforms u pick: per u, the first j with
+    cum[j] > base + floor(u * total).
+
+    cum is a running sum of positive integer weights, and a segment of it
+    starts after the sum base (0 if None) and holds weights that sum to
+    total.  Each u then picks position j of the segment with probability
+    w_j / total, the same j as a search for u * total in the segment's own
+    running sum: every sum is an integer below 2**53, so the floor keeps it.
+    """
+    x = (u * total).astype(np.int64)   # u * total >= 0, so this floors
+    if base is not None:
+        x += base
+    return cum.searchsorted(x, side="right")
+
+
 def _draw(weights: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     """m i.i.d. indices into weights, index i with probability w_i / sum(w)."""
     cum = weights.cumsum()
-    return cum.searchsorted(rng.random(m) * cum[-1], side="right")
+    return _pick(cum, rng.random(m), cum[-1])
+
+
+def _layers(cands: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """Layer of each newborn of a block whose candidates are cands[ptr[i]:ptr[i + 1]].
+
+    0 if no earlier newborn of the block shares a candidate with it, else 1 +
+    the largest layer among those that do.  Newborns of one layer therefore
+    read and write disjoint weights, and each reads them after every earlier
+    newborn that shares one.
+    """
+    k = ptr.size - 1
+    vertex, owner = np.divmod(np.sort(cands * k + np.arange(k).repeat(np.diff(ptr))), k)
+    # linking consecutive owners of each vertex is enough, since layers rise
+    # along each chain; a pair linked through several vertices counts once
+    i = np.flatnonzero(vertex[1:] == vertex[:-1])
+    pair = np.sort(owner[i] * k + owner[i + 1])
+    a, b = np.divmod(pair[np.flatnonzero(np.diff(pair, append=-1))], k)
+    layer = np.zeros(k, dtype=np.int64)
+    total = 0
+    while True:
+        np.maximum.at(layer, b, layer[a] + 1)
+        # layers only rise, so an unchanged sum is the fixed point
+        before, total = total, layer.sum()
+        if total == before:
+            return layer
+
+
+def _draw_layered(cands, at, drawers, u, weight):
+    """The contacts of the newborns drawers of a block, drawn layer by layer.
+
+    cands[at[i]:at[i + 1]] are newborn i's candidates, row j of u holds the
+    uniforms of newborn drawers[j], and every drawn contact is booked in
+    weight.  The result has one row per drawer, as the per-newborn draws in
+    birth order would give: newborns of one layer share no candidate, and
+    every earlier newborn that shares one with a later one lies in an
+    earlier layer.
+    """
+    layer = _layers(cands, at)[drawers]
+    order = np.argsort(layer, kind="stable")
+    first, end = at[drawers[order]], at[drawers[order] + 1]
+    u = u[order]
+    # the drawers' candidates in layer order: the j-th drawer in that order
+    # has rows[seg[j]:seg[j + 1]]
+    seg = np.concatenate([[0], (end - first).cumsum()])
+    rows = cands[_spans(first, end)]
+    drawn = np.empty(u.shape, dtype=np.int64)
+    for a, b in pairwise([0, *np.bincount(layer).cumsum().tolist()]):
+        lrows = rows[seg[a]:seg[b]]
+        # one running sum over the layer, one segment per drawer
+        cum = np.concatenate([[0], weight.take(lrows).cumsum()])
+        edge = cum[seg[a:b + 1] - seg[a]]
+        got = drawn[a:b] = lrows[_pick(cum[1:], u[a:b], np.diff(edge)[:, None], edge[:-1, None])]
+        np.add.at(weight, got, 1)
+    out = np.empty_like(drawn)
+    out[order] = drawn
+    return out
 
 
 def _auto_cell(r: float, n: int) -> float:
@@ -177,15 +266,17 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
     # set is too: the cap structure is built once, and the candidates of a
     # block of newborns are fetched in one query that filters by birth order
     caps = CapIndex(pos, _auto_cell(r, n))
-    lo = hi = 0
+    lo = 0
     block = 1
 
     # the draws: m contacts per newborn (t itself after an isolated birth) and
     # the far end of the long or flexible edge of each newborn t >= 1
     contacts = np.empty((n, m), dtype=np.int64)
     partner = np.zeros(n, dtype=np.int64)
-    # the attachment weight plain + delta, kept as the running tally
-    weight = np.full(n, delta, dtype=np.int64)
+    # the attachment weight plain + delta, kept as the running tally; a
+    # newborn's own m contacts count from the start, since its weight is read
+    # only by later newborns
+    weight = np.full(n, delta + m, dtype=np.int64)
     floops = np.zeros(n, dtype=np.int64)
     isolated = np.zeros(n, dtype=bool)
 
@@ -196,57 +287,79 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
     probes = cfg.probes
     k_probes = probes.shape[0]
     times = np.array(cfg.checkpoint_times, dtype=np.int64)
+    cuts = [*cfg.checkpoint_times, n]
+    cp = 0
     occ = np.zeros((times.size, k_probes), dtype=np.int64)
     mass = np.zeros((times.size, k_probes), dtype=np.int64)
-    cp_row = {int(t): i for i, t in enumerate(times)}
 
-    for t in range(n):
-        if t == hi:
-            lo, hi = t, min(n, t + block)
-            cands, at = caps.members(pos[lo:hi], r, np.arange(lo, hi))
-            block = min(2 * block, max(1, _BLOCK_ROWS * (hi - lo) // max(cands.size, 1)))
-            at = at.tolist()
-        cand = cands[at[t - lo]:at[t - lo + 1]]
-        if cand.size == 0:
-            contacts[t] = t
-            weight[t] += 2 * m
-            isolated[t] = True
+    while lo < n:
+        # a block ends at each checkpoint, so the probes read the tallies
+        # after exactly that many newborns
+        hi = min(lo + block, cuts[cp])
+        cands, at = caps.members(pos[lo:hi], r, np.arange(lo, hi))
+        # at most _BLOCK_ROWS newborns, which bounds the block's uniforms
+        block = min(2 * block, _BLOCK_ROWS,
+                    max(1, _BLOCK_ROWS * (hi - lo) // max(cands.size, 1)))
+        iso = isolated[lo:hi] = at[1:] == at[:-1]
+        # an isolated birth's m loops more, booked before the block's draws
+        weight[lo:hi] += m * iso
+
+        # the random stream in birth order: each newborn's uniforms (none
+        # after an isolated birth), then the draw for its long or flexible
+        # edge; u[j] holds the uniforms of drawers[j]
+        drawers = np.flatnonzero(~iso)
+        if model == "base":
+            # base draws nothing else: the block's uniforms are one call
+            u = rng.random((drawers.size, m))
         else:
-            drawn = contacts[t] = cand[_draw(weight.take(cand), m, rng)]
-            np.add.at(weight, drawn, 1)
-            weight[t] += m
+            u = []
+            for t, lone in zip(range(lo, hi), iso.tolist()):
+                if not lone:
+                    u.append(rng.random(m))
+                if model == "hybrid" and t > 0:
+                    partner[t] = rng.integers(0, t)
+                elif model == "selfloop":
+                    floops[t] = delta
+                    if t > 0:
+                        if hcount <= 0:
+                            raise AssertionError("flexible-loop holder set empty at rewiring time")
+                        j = int(rng.integers(0, hcount))
+                        z = partner[t] = holders[j]
+                        # one loop of z and one of the newborn become a
+                        # flexible edge; both degrees are unchanged
+                        floops[z] -= 1
+                        if floops[z] == 0:
+                            hcount -= 1
+                            holders[j] = holders[hcount]
+                        floops[t] -= 1
+                    # delta >= 2, so the newborn still holds a loop
+                    holders[hcount] = t
+                    hcount += 1
 
-        if model == "hybrid" and t > 0:
-            partner[t] = rng.integers(0, t)
+        if hi - lo >= _LAYER_MIN:
+            u = np.reshape(u, (-1, m))
+            contacts[lo + drawers] = _draw_layered(cands, at, drawers, u, weight)
+        else:
+            at = at.tolist()
+            for j, i in enumerate(drawers.tolist()):
+                cand = cands[at[i]:at[i + 1]]
+                cum = weight.take(cand).cumsum()
+                drawn = contacts[lo + i] = cand[_pick(cum, u[j], cum[-1])]
+                np.add.at(weight, drawn, 1)
+        lo = hi
 
-        if model == "selfloop":
-            floops[t] = delta
-            if t > 0:
-                if hcount <= 0:
-                    raise AssertionError("flexible-loop holder set empty at rewiring time")
-                j = int(rng.integers(0, hcount))
-                z = partner[t] = holders[j]
-                # one loop of z and one of the newborn become a flexible edge;
-                # both degrees are unchanged
-                floops[z] -= 1
-                if floops[z] == 0:
-                    hcount -= 1
-                    holders[j] = holders[hcount]
-                floops[t] -= 1
-            # delta >= 2, so the newborn still holds a loop
-            holders[hcount] = t
-            hcount += 1
-
-        row = cp_row.get(t + 1)
-        if row is not None and k_probes:
-            members, mptr = caps.members(probes, r, t + 1)
-            occ[row] = np.diff(mptr)
-            held = np.concatenate([[0], weight[members].cumsum()])
-            mass[row] = held[mptr[1:]] - held[mptr[:-1]]
+        if cp < times.size and hi == cuts[cp]:
+            if k_probes:
+                members, mptr = caps.members(probes, r, hi)
+                occ[cp] = np.diff(mptr)
+                held = np.concatenate([[0], weight[members].cumsum()])
+                mass[cp] = held[mptr[1:]] - held[mptr[:-1]]
+            cp += 1
 
     plain = weight - delta
     # the edge list, in the order of the module docstring; an isolated birth's
     # contact row of t, taken twice, is its 2m loops
+    contacts[isolated] = np.flatnonzero(isolated)[:, None]
     per = m + m * isolated
     dst = contacts.repeat(1 + isolated, axis=0).ravel()
     del contacts   # the graph's degree recount below is the memory peak

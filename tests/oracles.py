@@ -128,3 +128,15 @@ def sample_zipf(rng, exponent, k_min, size, k_max=10 ** 6):
     cdf /= cdf[-1]
     u = rng.random(size)
     return k_min + np.searchsorted(cdf, u, side="left")
+
+
+def layers_scan(cands, ptr):
+    """Layer of each newborn of a block, checking every earlier newborn: 0 if
+    none shares a candidate with it, else 1 + the largest layer of those that
+    do.  The reference for models._layers."""
+    sets = [set(cands[ptr[i]:ptr[i + 1]].tolist()) for i in range(len(ptr) - 1)]
+    layer = []
+    for i, mine in enumerate(sets):
+        below = [layer[j] for j in range(i) if sets[j] & mine]
+        layer.append(1 + max(below) if below else 0)
+    return np.array(layer, dtype=np.int64)

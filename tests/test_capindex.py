@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpanet.capindex import CapIndex
+from gpanet.capindex import DOT_TOL, CapIndex
 from gpanet.sphere import SpherePoint, sample_uniform
 
 from oracles import cap_members_scan
@@ -90,6 +90,18 @@ class TestScanEquivalence:
         pts = np.vstack([on_boundary, [0.0, 0.0, -1.0]])
         idx = CapIndex(pts, 0.25)
         assert idx.query_cap(center, R).tolist() == [0]
+
+    def test_point_at_the_tolerance_is_a_member(self):
+        # about the pole the dot product is the stored z itself, so a point
+        # with z exactly cos(R) - DOT_TOL sits on the predicate's closed edge
+        R = 0.7
+        z = np.cos(R) - DOT_TOL
+        edge = np.array([np.sqrt(1.0 - z * z), 0.0, z])
+        pts = np.vstack([edge, [0.0, 0.0, -1.0]])
+        idx = CapIndex(pts, 0.25)
+        center = np.array([0.0, 0.0, 1.0])
+        assert idx.query_cap(center, R).tolist() == [0]
+        assert idx.members(center, R, 1)[0].tolist() == [0]
 
     @given(st.integers(0, 2 ** 32 - 1), st.floats(0.01, np.pi))
     @settings(max_examples=60, deadline=None)

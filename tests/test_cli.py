@@ -210,6 +210,24 @@ class TestExperimentCommand:
         assert (out_dir / "index.json").exists()
         assert (out_dir / "degrees_summary.json").exists()
 
+    def test_analysis_error_exits_1_after_writing(self, capsys, tmp_path):
+        # concentration needs checkpoints; the failure is recorded, every
+        # other output is still written, and the exit status reports it
+        cfg = ModelConfig(model="base", n=150, m=2, xi=1.0, r=0.6, seed=0,
+                          probes=default_probes(2))
+        spec = ExperimentSpec(cfg, (1,), ("degrees", "concentration"), str(tmp_path / "run"))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec.to_json_dict()))
+        code, out, _ = run(capsys, "experiment", "--spec", str(spec_path), "--json")
+        assert code == 1
+        index = strict_loads(out)
+        assert [e["analysis"] for e in index["errors"]] == ["concentration"]
+        assert strict_loads((tmp_path / "run" / "index.json").read_text()) == index
+        assert (tmp_path / "run" / "degrees_summary.json").exists()
+        code, out, err = run(capsys, "experiment", "--spec", str(spec_path))
+        assert code == 1
+        assert out.startswith("wrote ") and "error [seed 1, concentration]" in err
+
     @pytest.mark.parametrize("spec, names", [
         ([1, 2], "JSON object"),
         ({"seeds": [1], "analyses": ["tree"], "out_dir": "x"}, "'config'"),

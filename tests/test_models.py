@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from gpanet import models
 from gpanet.capindex import DOT_TOL, CapIndex
 from gpanet.graph import EdgeKind, EvolvingGraph
 from gpanet.metrics import diameter
 from gpanet.models import (DEFAULT_PROBE_SEED, GenerationTrace, ModelConfig, _auto_cell,
-                           _draw, default_probes, generate)
+                           _draw, _layers, _pick, default_probes, generate)
 from gpanet.sphere import angular_distance, sample_uniform
 
-from oracles import cap_members_scan, component_diameters_scan
+from oracles import cap_members_scan, component_diameters_scan, layers_scan
 
 
 def cfg(model="base", n=50, m=2, xi=1.0, r=np.pi, seed=7, **kw):
@@ -310,6 +311,101 @@ class TestContactSampler:
         counts = np.bincount(draws, minlength=5)
         p = stats.chisquare(counts).pvalue
         assert p > 1e-3, (counts, p)
+
+
+def random_block(rng, k, n_vertices, p_isolated):
+    """Candidate lists of k newborns over vertices 0..n_vertices-1, as (cands, ptr)."""
+    lists = [np.array([], dtype=np.int64) if rng.random() < p_isolated else
+             rng.permutation(n_vertices)[:rng.integers(1, n_vertices + 1)]
+             for _ in range(k)]
+    ptr = np.concatenate([[0], np.cumsum([c.size for c in lists])]).astype(np.int64)
+    return np.concatenate([np.array([], dtype=np.int64), *lists]), ptr
+
+
+class TestLayers:
+    """_layers, the schedule of a block's layered draws, against the pairwise scan."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.integers(1, 60),
+           st.sampled_from([0.0, 0.3, 0.9]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_pairwise_scan(self, seed, k, n_vertices, p_isolated):
+        cands, ptr = random_block(np.random.default_rng(seed), k, n_vertices, p_isolated)
+        layer = _layers(cands, ptr)
+        assert np.array_equal(layer, layers_scan(cands, ptr))
+        sets = [set(cands[ptr[i]:ptr[i + 1]].tolist()) for i in range(k)]
+        for j in range(k):
+            below = [layer[i] for i in range(j) if sets[i] & sets[j]]
+            # newborns that share a candidate lie in strictly rising layers,
+            # and each layer is the lowest that allows
+            assert all(b < layer[j] for b in below)
+            assert layer[j] == (1 + max(below) if below else 0)
+
+    def test_one_shared_vertex_is_a_chain(self):
+        # every newborn but the isolated ones holds vertex 7: one per layer
+        lists = [[7, 1], [], [2, 7], [7], [], [3, 7, 4]]
+        ptr = np.concatenate([[0], np.cumsum([len(c) for c in lists])])
+        cands = np.array([v for c in lists for v in c], dtype=np.int64)
+        assert _layers(cands, ptr).tolist() == [0, 0, 1, 2, 0, 3]
+        assert layers_scan(cands, ptr).tolist() == [0, 0, 1, 2, 0, 3]
+
+    def test_all_isolated(self):
+        empty = np.array([], dtype=np.int64)
+        assert _layers(empty, np.zeros(5, dtype=np.int64)).tolist() == [0] * 4
+
+
+class TestPick:
+    """_pick on many segments of one running sum picks what each segment's own
+    running sum picks."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(1, 30))
+    @settings(max_examples=150, deadline=None)
+    def test_segments_match_their_own_search(self, seed, k, m):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 20, k)
+        starts = np.concatenate([[0], sizes.cumsum()])
+        w = rng.integers(1, 10 ** int(rng.integers(1, 12)), starts[-1])
+        cum = w.cumsum()
+        edge = np.concatenate([[0], cum])[starts]
+        base, total = edge[:-1], np.diff(edge)
+        u = rng.random((k, m))
+        # half the uniforms sit at or just below a segment's own boundaries
+        for i in range(k):
+            own = w[starts[i]:starts[i + 1]].cumsum()
+            at = own[rng.integers(0, own.size, m // 2)] / total[i]
+            u[i, :m // 2] = np.where(rng.random(m // 2) < 0.5, at, np.nextafter(at, 0.0))
+        u = np.minimum(u, np.nextafter(1.0, 0.0))
+        got = _pick(cum, u, total[:, None], base[:, None])
+        for i in range(k):
+            own = w[starts[i]:starts[i + 1]].cumsum()
+            want = own.searchsorted(u[i] * own[-1], side="right")
+            assert np.array_equal(got[i] - starts[i], want)
+
+    def test_draw_is_the_one_segment_pick(self):
+        w = np.array([5, 1, 9, 2])
+        u = np.random.default_rng(3).random(50)
+        assert np.array_equal(_draw(w, 50, np.random.default_rng(3)),
+                              w.cumsum().searchsorted(u * w.sum(), side="right"))
+
+
+class TestLayeredDraws:
+    """Layered and per-newborn draws grow the same graph and trace, byte for byte."""
+
+    @pytest.mark.parametrize("model", ["base", "hybrid", "selfloop"])
+    @pytest.mark.parametrize("n, r", [(1500, np.log(1500) / np.sqrt(1500)), (1200, 0.3),
+                                      (300, np.pi), (1500, 0.005)])
+    def test_forced_on_and_off_agree(self, monkeypatch, model, n, r):
+        c = cfg(model=model, n=n, m=3, r=r, seed=19, probes=default_probes(5),
+                checkpoint_times=(1, n // 3, n // 2 + 1, n))
+        runs = []
+        for least in (1, n + 1):
+            monkeypatch.setattr(models, "_LAYER_MIN", least)
+            runs.append(generate(c))
+        (g1, t1), (g2, t2) = runs
+        for name in ("edge_src", "edge_dst", "edge_kind", "isolated_birth", "flexible_loops"):
+            a, b = getattr(g1, name), getattr(g2, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        for name in ("occupancy", "attach_mass", "isolated_in_cap"):
+            assert getattr(t1, name).tobytes() == getattr(t2, name).tobytes(), name
 
 
 class TestCapIndexHandoff:
