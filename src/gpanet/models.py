@@ -10,18 +10,19 @@ self-loops and rewires one loop of the newborn plus one loop of a uniformly
 chosen holder z into a flexible edge (degree-neutral for both).
 
 All three grow in blocks of newborns.  One cap query fetches the candidates
-of a whole block, and the block then takes its random numbers in birth
-order: each newborn's m uniforms (none after an isolated birth), then the
-number for its long or flexible edge.  The contacts follow from the
-uniforms and the weights.  Newborns that share no candidate read and write
-disjoint weights, so a block of at least _LAYER_MIN newborns (narrow caps)
-is cut into layers: a newborn's layer is one more than the highest layer of
-the earlier newborns of the block that share a candidate with it, and each
-layer draws all its contacts in one vectorised step.  A smaller block (wide
-caps, where a layer would hold only a few newborns) draws newborn by
-newborn.  Both give the contacts that per-newborn draws in birth order give,
-byte for byte, since every pick goes through _pick.  A block ends at each
-checkpoint, so the probes read the tallies after exactly that many newborns.
+of a whole block, and the block takes its random numbers in birth order:
+each newborn's m uniforms (none after an isolated birth), then the number
+for its long or flexible edge.  The contacts follow from the uniforms and
+the weights.  A block of fewer than _LAYER_MIN newborns (wide caps) draws
+each newborn's contacts as soon as its uniforms are taken.  Newborns that
+share no candidate read and write disjoint weights, so a larger block
+(narrow caps) keeps its uniforms and is then cut into layers: a newborn's
+layer is one more than the highest layer of the earlier newborns of the
+block that share a candidate with it, and each layer draws all its
+contacts in one vectorised step.  Both give the contacts that per-newborn
+draws in birth order give, byte for byte, since every pick goes through
+_pick.  A block ends at each checkpoint, so the probes read the tallies
+after exactly that many newborns.
 
 The loop records only the draws: each newborn's m contacts and the far end
 of its long or flexible edge.  The edge list is built from them after the
@@ -306,46 +307,43 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
 
         # the random stream in birth order: each newborn's uniforms (none
         # after an isolated birth), then the draw for its long or flexible
-        # edge; u[j] holds the uniforms of drawers[j]
-        drawers = np.flatnonzero(~iso)
-        if model == "base":
-            # base draws nothing else: the block's uniforms are one call
-            u = rng.random((drawers.size, m))
-        else:
-            u = []
-            for t, lone in zip(range(lo, hi), iso.tolist()):
-                if not lone:
-                    u.append(rng.random(m))
-                if model == "hybrid" and t > 0:
-                    partner[t] = rng.integers(0, t)
-                elif model == "selfloop":
-                    floops[t] = delta
-                    if t > 0:
-                        if hcount <= 0:
-                            raise AssertionError("flexible-loop holder set empty at rewiring time")
-                        j = int(rng.integers(0, hcount))
-                        z = partner[t] = holders[j]
-                        # one loop of z and one of the newborn become a
-                        # flexible edge; both degrees are unchanged
-                        floops[z] -= 1
-                        if floops[z] == 0:
-                            hcount -= 1
-                            holders[j] = holders[hcount]
-                        floops[t] -= 1
-                    # delta >= 2, so the newborn still holds a loop
-                    holders[hcount] = t
-                    hcount += 1
-
-        if hi - lo >= _LAYER_MIN:
-            u = np.reshape(u, (-1, m))
-            contacts[lo + drawers] = _draw_layered(cands, at, drawers, u, weight)
+        # edge.  A layered block keeps the uniforms for its layers, row i for
+        # newborn lo + i; a smaller one draws each newborn's contacts at once.
+        layered = hi - lo >= _LAYER_MIN
+        if layered:
+            u = np.empty((hi - lo, m))
         else:
             at = at.tolist()
-            for j, i in enumerate(drawers.tolist()):
+        for i, lone in enumerate(iso.tolist()):
+            t = lo + i
+            if layered and not lone:
+                rng.random(m, out=u[i])
+            elif not lone:
                 cand = cands[at[i]:at[i + 1]]
-                cum = weight.take(cand).cumsum()
-                drawn = contacts[lo + i] = cand[_pick(cum, u[j], cum[-1])]
+                drawn = contacts[t] = cand[_draw(weight.take(cand), m, rng)]
                 np.add.at(weight, drawn, 1)
+            if model == "hybrid" and t > 0:
+                partner[t] = rng.integers(0, t)
+            elif model == "selfloop":
+                floops[t] = delta
+                if t > 0:
+                    if hcount <= 0:
+                        raise AssertionError("flexible-loop holder set empty at rewiring time")
+                    j = int(rng.integers(0, hcount))
+                    z = partner[t] = holders[j]
+                    # one loop of z and one of the newborn become a flexible
+                    # edge; both degrees are unchanged
+                    floops[z] -= 1
+                    if floops[z] == 0:
+                        hcount -= 1
+                        holders[j] = holders[hcount]
+                    floops[t] -= 1
+                # delta >= 2, so the newborn still holds a loop
+                holders[hcount] = t
+                hcount += 1
+        if layered:
+            drawers = np.flatnonzero(~iso)
+            contacts[lo + drawers] = _draw_layered(cands, at, drawers, u[drawers], weight)
         lo = hi
 
         if cp < times.size and hi == cuts[cp]:
