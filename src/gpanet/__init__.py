@@ -5,9 +5,9 @@ spherical-cap spatial index, and the measurement toolkit used to check their
 degree laws, diameters, communities, and concentration behavior.
 """
 
-from .sphere import SpherePoint, angular_distance, cap_area, sample_uniform, SPHERE_RADIUS
+from .sphere import angular_distance, cap_area, sample_uniform, SPHERE_RADIUS
 from .capindex import CapIndex
-from .graph import EdgeKind, EvolvingGraph, VertexRecord
+from .graph import EdgeKind, EvolvingGraph
 from .models import (
     ModelConfig,
     GenerationTrace,
@@ -43,8 +43,8 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "SpherePoint", "angular_distance", "cap_area", "sample_uniform", "SPHERE_RADIUS",
-    "CapIndex", "EdgeKind", "EvolvingGraph", "VertexRecord",
+    "angular_distance", "cap_area", "sample_uniform", "SPHERE_RADIUS",
+    "CapIndex", "EdgeKind", "EvolvingGraph",
     "ModelConfig", "GenerationTrace", "default_probes",
     "generate",
     "CommunityReport", "ConcentrationReport", "DegreeHistogram",

@@ -15,7 +15,6 @@ pointer jumping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -50,29 +49,13 @@ _KIND_ALIASES = {
 }
 
 
-@dataclass(frozen=True)
-class VertexRecord:
-    id: int
-    position: np.ndarray
-    birth_time: int
-    plain_degree: int
-    long_degree: int
-    flexible_loop_count: int
-    flexible_edge_degree: int
-    isolated_birth: bool
-
-    @property
-    def total_degree(self) -> int:
-        return (self.plain_degree + self.long_degree
-                + self.flexible_loop_count + self.flexible_edge_degree)
-
-
-def _integer_ids(a) -> np.ndarray:
-    """a as int64 ids; integral floats pass, any other value raises."""
+def _integer_ids(a, what: str = "vertex ids") -> np.ndarray:
+    """a as int64; integral floats (such as 1e4 from JSON) pass, any other
+    value raises, naming what."""
     a = np.asarray(a)
     if a.dtype.kind not in "iu" and not (
             a.dtype.kind == "f" and (np.isfinite(a) & (a == np.floor(a))).all()):
-        raise ValueError("vertex ids must be integers")
+        raise ValueError(f"{what} must be integers")
     return a.astype(np.int64, copy=False)
 
 
@@ -313,19 +296,6 @@ class EvolvingGraph:
         if v is None:
             return arr
         return int(arr[_vertex_id(v, self.n)])
-
-    def vertex(self, v: int) -> VertexRecord:
-        v = _vertex_id(v, self.n)
-        return VertexRecord(
-            id=v,
-            position=self.positions[v].copy(),
-            birth_time=int(self.birth_time[v]),
-            plain_degree=int(self.plain_degree[v]),
-            long_degree=int(self.long_degree[v]),
-            flexible_loop_count=int(self.flexible_loops[v]),
-            flexible_edge_degree=int(self.flexible_edge_degree[v]),
-            isolated_birth=bool(self.isolated_birth[v]),
-        )
 
     # -- vertex-set utilities ----------------------------------------------
 

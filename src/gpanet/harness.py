@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from .graph import _integer_ids
 from .metrics import (DegreeHistogram, analytic_fk, community_check,
                       concentration_report, degree_histogram, diameter,
                       expander_scan, fit_power_law_exponent, json_ready,
@@ -75,7 +76,7 @@ def derive_parameters(n: int, xi: float, c0: float, c1: float,
     t_r is evaluated at the given r (default: the clamped r0, in which
     case t_r equals t0 whenever r0 needed no clamping).
     """
-    n = int(n)
+    n = int(_integer_ids(n, "n"))
     if n < 3:
         raise ValueError("n must be >= 3")
     for name, val in (("xi", xi), ("c0", c0), ("c1", c1)):
@@ -220,8 +221,7 @@ def _degrees(g, trace, cfg: ModelConfig, opts: dict, save) -> dict:
     """
     h = degree_histogram(g, opts.get("kind", "total"))
     csv = save(h)
-    k_min = int(opts.get("k_min", cfg.m))
-    fit = fit_power_law_exponent(h, k_min)
+    fit = fit_power_law_exponent(h, opts.get("k_min", cfg.m))
     ks, cs = h.as_arrays()
     sel = ks >= cfg.m
     emp = cs[sel] / cs[sel].sum()
@@ -243,7 +243,7 @@ def _diameter(g, trace, cfg: ModelConfig, opts: dict, save) -> dict:
 
 def _centers(cfg: ModelConfig, k, salt: int) -> np.ndarray:
     """min(k, n) distinct vertex ids, sorted, from the stream (cfg.seed, salt)."""
-    k = int(k)
+    k = int(_integer_ids(k, "centers"))
     if k < 0:
         raise ValueError(f"centers must be >= 0, got {k}")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, salt]))

@@ -73,11 +73,6 @@ class DegreeHistogram:
         with open(path, "w") as f:
             _write_csv(f, "k,count", "%d,%d", ks, cs)
 
-    def to_json_dict(self) -> dict:
-        ks, cs = self.as_arrays()
-        return {"kind": self.kind, "n": self.n,
-                "k": ks.tolist(), "count": cs.tolist()}
-
 
 def degree_histogram(g: EvolvingGraph, kind: str = "total") -> DegreeHistogram:
     deg = g.degree(None, kind)
@@ -275,7 +270,7 @@ def fit_power_law_exponent(h: DegreeHistogram, k_min: int) -> PowerLawFit:
     The estimate depends only on sample proportions; the standard error comes
     from the observed information (numeric second derivative at the optimum).
     """
-    k_min = int(k_min)
+    k_min = int(_integer_ids(k_min, "k_min"))
     if k_min < 1:
         raise ValueError("k_min must be >= 1")
     ks, cs = h.as_arrays()

@@ -43,15 +43,18 @@ import numpy.random  # noqa: F401
 
 from .capindex import CapIndex, _spans
 from .graph import MODEL_NAMES as MODELS
-from .graph import EdgeKind, EvolvingGraph, _write_csv
-from .sphere import SpherePoint, _check_radius, sample_uniform, to_angles, unit_rows
+from .graph import EdgeKind, EvolvingGraph, _integer_ids, _write_csv
+from .sphere import _check_radius, from_angles, sample_uniform, to_angles, unit_rows
 
 # fixed probe placement stream, independent of the run seed so that traces
 # from different runs are comparable
 DEFAULT_PROBE_SEED = 1729
 
 
-# candidate rows fetched per block of newborns; the block adapts to this
+# target count of candidate rows per block of newborns, not a bound: a block
+# is sized from the rows per newborn of the block before it, which grow with
+# t, so it can fetch more (12773 rows for newborns 1750-3499 of hybrid
+# n=7000, m=24, r=ln n/sqrt n, seed 1, checkpoints every n/4)
 _BLOCK_ROWS = 1 << 13
 # newborns per block from which a block draws layer by layer; with fewer
 # (wide caps) the layering costs more than the per-newborn draws it saves
@@ -59,7 +62,7 @@ _LAYER_MIN = 64
 
 
 def default_probes(k: int, seed: int = DEFAULT_PROBE_SEED) -> np.ndarray:
-    k = int(k)
+    k = int(_integer_ids(k, "probes"))
     if k < 0:
         raise ValueError(f"probes must be >= 0, got {k}")
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
@@ -92,11 +95,14 @@ class ModelConfig:
     def __post_init__(self):
         set_ = lambda k, v: object.__setattr__(self, k, v)
         set_("model", _canon_model(self.model))
-        set_("n", int(self.n))
-        set_("m", int(self.m))
+        for name in ("n", "m", "seed", "delta"):
+            v = getattr(self, name)
+            if v is not None:
+                if not isinstance(v, int):   # a Python int may exceed int64
+                    _integer_ids(v, name)    # a fraction raises; 1e4 passes
+                set_(name, int(v))
         set_("xi", float(self.xi))
         set_("r", _check_radius(self.r))
-        set_("seed", int(self.seed))
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.m < 1:
@@ -107,8 +113,6 @@ class ModelConfig:
             raise ValueError("seed must fit in 64 bits")
         if self.delta is None:
             set_("delta", int(round(self.xi * self.m)))
-        else:
-            set_("delta", int(self.delta))
         if abs(self.delta - self.xi * self.m) >= 1.0:
             raise ValueError(f"delta={self.delta} does not realize xi*m={self.xi * self.m} "
                              "within integer rounding")
@@ -122,11 +126,8 @@ class ModelConfig:
         if self.probes is None:
             set_("probes", np.empty((0, 3), dtype=np.float64))
         else:
-            pts = self.probes
-            if isinstance(pts, (list, tuple)) and pts and isinstance(pts[0], SpherePoint):
-                pts = np.stack([p.vec for p in pts])
-            set_("probes", unit_rows(pts, "probes").copy())
-        cps = tuple(int(t) for t in self.checkpoint_times)
+            set_("probes", unit_rows(self.probes, "probes").copy())
+        cps = tuple(_integer_ids(self.checkpoint_times, "checkpoint times").tolist())
         if any(t < 1 or t > self.n for t in cps):
             raise ValueError("checkpoint times must lie in [1, n]")
         set_("checkpoint_times", tuple(sorted(set(cps))))
@@ -143,7 +144,10 @@ class ModelConfig:
     def from_json_dict(cls, d: dict) -> "ModelConfig":
         probes = None
         if d.get("probes"):
-            probes = np.stack([SpherePoint.from_angles(a, b).vec for a, b in d["probes"]])
+            angles = np.asarray(d["probes"], dtype=np.float64)
+            if angles.ndim != 2 or angles.shape[1] != 2:
+                raise TypeError("probes must be a list of [colat, lon] pairs")
+            probes = from_angles(angles[:, 0], angles[:, 1])
         return cls(
             model=d["model"], n=d["n"], m=d["m"], xi=d["xi"], r=d["r"],
             seed=d["seed"], delta=d.get("delta"), probes=probes,

@@ -9,13 +9,9 @@ cap_area(R) = (1 - cos R) / 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 SPHERE_RADIUS = 1.0 / (2.0 * np.sqrt(np.pi))
-
-_NORM_TOL = 1e-12
 
 
 def _check_radius(R: float) -> float:
@@ -25,69 +21,25 @@ def _check_radius(R: float) -> float:
     return R
 
 
-@dataclass(frozen=True)
-class SpherePoint:
-    """A validated point on the sphere, stored as a unit 3-vector."""
-
-    vec: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vec, dtype=np.float64)
-        if v.shape != (3,):
-            raise ValueError(f"expected shape (3,), got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("coordinates must be finite")
-        if abs(float(v @ v) - 1.0) > 2.0 * _NORM_TOL:
-            raise ValueError("vector is not unit length")
-        object.__setattr__(self, "vec", v)
-        self.vec.setflags(write=False)
-
-    @classmethod
-    def from_angles(cls, colat: float, lon: float) -> "SpherePoint":
-        """Build from colatitude in [0, pi] and longitude (any real, taken mod 2pi)."""
-        colat = float(colat)
-        if not 0.0 <= colat <= np.pi:
-            raise ValueError(f"colatitude must lie in [0, pi], got {colat!r}")
-        s = np.sin(colat)
-        return cls(np.array([s * np.cos(lon), s * np.sin(lon), np.cos(colat)]))
-
-    @classmethod
-    def from_vector(cls, v) -> "SpherePoint":
-        """Build from any nonzero 3-vector by normalizing it."""
-        v = np.asarray(v, dtype=np.float64)
-        n = np.linalg.norm(v)
-        if not np.isfinite(n) or n == 0.0:
-            raise ValueError("cannot normalize a zero or non-finite vector")
-        return cls(v / n)
-
-    @property
-    def colat(self) -> float:
-        return float(to_angles(self.vec)[0])
-
-    @property
-    def lon(self) -> float:
-        return float(to_angles(self.vec)[1])
-
-    def distance_to(self, other: "SpherePoint") -> float:
-        return float(angular_distance(self.vec, other.vec))
-
-
-def as_unit_vectors(p) -> np.ndarray:
-    """Coerce a SpherePoint or array-like of shape (..., 3) to a float64 array."""
-    if isinstance(p, SpherePoint):
-        return p.vec
-    v = np.asarray(p, dtype=np.float64)
-    if v.shape[-1] != 3:
-        raise ValueError(f"expected trailing dimension 3, got shape {v.shape}")
-    return v
-
-
 def unit_rows(p, what: str) -> np.ndarray:
     """p as an (n, 3) float64 array of unit vectors; a lone point is one row."""
-    v = np.atleast_2d(as_unit_vectors(p))
-    if v.ndim != 2 or np.any(np.abs(np.einsum("ij,ij->i", v, v) - 1.0) > 1e-9):
+    v = np.atleast_2d(np.asarray(p, dtype=np.float64))
+    if v.ndim != 2 or v.shape[1] != 3 or not np.all(
+            np.abs(np.einsum("ij,ij->i", v, v) - 1.0) <= 1e-9):
         raise ValueError(f"{what} must be an (n, 3) array of unit vectors")
     return v
+
+
+def from_angles(colat, lon) -> np.ndarray:
+    """(k, 3) unit vectors at colatitudes in [0, pi] and longitudes (any
+    real, taken mod 2pi); the inverse of to_angles."""
+    colat = np.atleast_1d(np.asarray(colat, dtype=np.float64))
+    if not np.all((colat >= 0.0) & (colat <= np.pi)):
+        raise ValueError(f"colatitude must lie in [0, pi], got {colat.tolist()}")
+    if not np.all(np.isfinite(lon)):
+        raise ValueError(f"longitude must be finite, got {np.ravel(lon).tolist()}")
+    s = np.sin(colat)
+    return np.stack([s * np.cos(lon), s * np.sin(lon), np.cos(colat)], axis=-1)
 
 
 def to_angles(points) -> tuple[np.ndarray, np.ndarray]:
@@ -98,9 +50,8 @@ def to_angles(points) -> tuple[np.ndarray, np.ndarray]:
 
 
 def angular_distance(p, q):
-    """Central angle between unit vectors, broadcasting over leading axes."""
-    p = as_unit_vectors(p)
-    q = as_unit_vectors(q)
+    """Central angle between arrays of unit vectors (..., 3), broadcasting
+    over leading axes."""
     dots = np.sum(p * q, axis=-1)
     return np.arccos(np.clip(dots, -1.0, 1.0))
 

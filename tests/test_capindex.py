@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpanet.capindex import DOT_TOL, CapIndex
-from gpanet.sphere import SpherePoint, sample_uniform
+from gpanet.sphere import from_angles, sample_uniform
 
 from oracles import cap_members_scan
 
@@ -39,11 +39,11 @@ class TestBasics:
             idx.query_cap(np.array([0.0, 0.0, 1.0]), 4.0)
 
     def test_accepts_sphere_point(self):
-        pts = np.vstack([np.eye(3)[1:], [0.0, 0.0, -1.0],
-                         SpherePoint.from_angles(0.4, 0.2).vec])
+        # a centre may be one (1, 3) row, as from_angles gives it, or a (3,) vector
+        pts = np.vstack([np.eye(3)[1:], [0.0, 0.0, -1.0], from_angles(0.4, 0.2)])
         idx = CapIndex(pts, 0.3)
-        got = idx.query_cap(SpherePoint.from_angles(0.4, 0.2), 0.01)
-        assert got.tolist() == [3]
+        assert idx.query_cap(from_angles(0.4, 0.2), 0.01).tolist() == [3]
+        assert idx.query_cap(from_angles(0.4, 0.2)[0], 0.01).tolist() == [3]
 
     def test_zero_radius_finds_coincident_point(self):
         rng = np.random.default_rng(0)
@@ -170,14 +170,13 @@ class TestStaticQuery:
         rng = np.random.default_rng(17)
         seam = np.column_stack([rng.uniform(0.0, np.pi, 150), rng.uniform(-0.05, 0.05, 150)])
         pts = np.vstack([sample_uniform(rng, 250),
-                         [SpherePoint.from_angles(th, ph).vec for th, ph in seam],
+                         from_angles(seam[:, 0], seam[:, 1]),
                          [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
         n = pts.shape[0]
         eps = 1e-9
         centers = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]),
-                   SpherePoint.from_angles(eps, 2.0).vec,
-                   SpherePoint.from_angles(np.pi - eps, 5.0).vec]
-        centers += [SpherePoint.from_angles(th, ph).vec
+                   *from_angles([eps, np.pi - eps], [2.0, 5.0])]
+        centers += [from_angles(th, ph)[0]
                     for th in (0.3, np.pi / 2, 2.9)
                     for ph in (0.0, 1e-12, -1e-12, 2.0 * np.pi - 1e-9, 3.0)]
         centers = np.array(centers)

@@ -11,6 +11,7 @@ current code:
 import contextlib
 import hashlib
 import io
+import json
 import math
 from pathlib import Path
 
@@ -54,6 +55,16 @@ DIAMETER_ARGV = {
     "base-singletons": ["--model", "base", "--n", "300", "--m", "2", "--r", "0",
                         "--seed", "1", "--mode", "component-wise"],
 }
+
+# an experiment spec file that gives its probes as [colat, lon] angles: both
+# poles, a longitude past 2pi and a negative one, so the digests pin the
+# unit vectors the spec's angles become
+PROBE_ANGLES_SPEC = {
+    "config": {"model": "hybrid", "n": 400, "m": 2, "xi": 1.0, "r": 0.5, "seed": 0,
+               "probes": [[0.0, 0.0], [0.5, 1.0], [1.5, 7.0], [2.5, -2.0],
+                          [math.pi, 4.0], [1.0471975511965976, 3.141592653589793]],
+               "checkpoint_times": [100, 200, 400]},
+    "seeds": [5], "analyses": ["concentration"], "out_dir": "unused"}
 
 
 def sha(data: bytes) -> str:
@@ -113,6 +124,13 @@ def experiment_spec(out_dir) -> ExperimentSpec:
 def experiment_digests(tmp: Path) -> dict:
     run_experiment(experiment_spec(tmp))
     return dir_digests(tmp)
+
+
+def probe_angles_digests(tmp: Path) -> dict:
+    spec = tmp / "spec.json"
+    spec.write_text(json.dumps(PROBE_ANGLES_SPEC))
+    cli_stdout(["experiment", "--spec", str(spec), "--out", str(tmp / "out")])
+    return dir_digests(tmp / "out")
 
 
 GENERATE = {('base', 1): {'config.json': '6edfec36a616a94f0fc80edeb06439d1bb69a121bd809d00388bfe7f13ce6165',
@@ -217,6 +235,11 @@ EXPERIMENT = {'communities_seed11.json': 'ed8cfe3b9f2f86965081da6098751808909694
  'tree_seed11.json': '21cdd53dcc41b6d4a67f027342d12b90eb3b676421de3d447da32b6f78f529d5',
  'tree_seed7.json': '6f96356941fa3f6c8065652835aaef7f9171d0988931416d712dbdb48757e5d3'}
 
+# the spec's probes come from [colat, lon] angles (PROBE_ANGLES_SPEC)
+EXPERIMENT_PROBE_ANGLES = {
+    'concentration_seed5.json': '9b1b55fa5fb0a28fe38231f5c56b5de285b7563a13b39ad878550f699b0332f1',
+    'index.json': '32037bdd03e5f6851fd3b5e715d803feb7b3460380d92ba4acaef02dc8221c5c'}
+
 
 @pytest.fixture(autouse=True)
 def _no_default_out(monkeypatch):
@@ -261,6 +284,10 @@ def test_experiment_artifacts(tmp_path):
     assert experiment_digests(tmp_path) == EXPERIMENT
 
 
+def test_experiment_probe_angles(tmp_path):
+    assert probe_angles_digests(tmp_path) == EXPERIMENT_PROBE_ANGLES
+
+
 if __name__ == "__main__":
     import os
     import pprint
@@ -278,6 +305,7 @@ if __name__ == "__main__":
                          for name in sorted(ANALYSIS_ARGV) for as_json in (True, False)},
             "DIAMETER": {name: diameter_digest(name) for name in sorted(DIAMETER_ARGV)},
             "EXPERIMENT": experiment_digests(Path(d) / "experiment"),
+            "EXPERIMENT_PROBE_ANGLES": probe_angles_digests(Path(d)),
         }
     for name, table in tables.items():
         print(f"{name} = {pprint.pformat(table, width=100)}")

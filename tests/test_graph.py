@@ -62,14 +62,15 @@ def test_vertex_record_fields():
     kind = np.int8([0, 0])
     g = toy_graph(2, edge_src=src, edge_dst=dst, edge_kind=kind,
                   isolated_birth=np.array([False, True]))
-    rec = g.vertex(1)
-    assert rec.id == 1
-    assert rec.plain_degree == 2  # one edge to 0, plus one loop counting 1
-    assert rec.birth_time == 2
+    # a vertex's fields are the graph's per-vertex arrays at its id
+    assert g.plain_degree.tolist() == [1, 2]  # vertex 1: an edge to 0, plus a loop counting 1
+    assert g.long_degree.tolist() == g.flexible_edge_degree.tolist() == [0, 0]
+    assert g.flexible_loops.tolist() == [0, 0]
     assert g.birth_time.tolist() == [1, 2]  # always id + 1
-    assert rec.isolated_birth is True
-    assert rec.total_degree == 2
-    np.testing.assert_allclose(np.linalg.norm(rec.position), 1.0)
+    assert g.isolated_birth.tolist() == [False, True]
+    assert g.total_degree.tolist() == [1, 2]
+    assert g.degree(1) == 2 and isinstance(g.degree(1), int)
+    np.testing.assert_allclose(np.linalg.norm(g.positions, axis=1), 1.0)
 
 
 def test_volume_boundary_conductance_vs_scan():
@@ -137,16 +138,12 @@ def test_fractional_vertex_ids_rejected():
     # one vertex: a fractional id raises instead of truncating
     for bad in (2.7, 0.5, np.float64(1.5), np.nan):
         with pytest.raises(ValueError, match="integers"):
-            g.vertex(bad)
-        with pytest.raises(ValueError, match="integers"):
             g.degree(bad)
-    assert g.vertex(2.0).id == 2 and isinstance(g.vertex(2.0).id, int)
     assert g.degree(2.0, "plain") == g.degree(np.int32(2), "plain") == 2
-    # out of range raises for both, where degree(-1) read the last vertex
-    for fn in (g.vertex, g.degree):
-        for bad in (4.0, 4, -1):
-            with pytest.raises(ValueError, match=f"^vertex {int(bad)} out of range$"):
-                fn(bad)
+    # out of range raises, where degree(-1) read the last vertex
+    for bad in (4.0, 4, -1):
+        with pytest.raises(ValueError, match=f"^vertex {int(bad)} out of range$"):
+            g.degree(bad)
 
 
 def test_loops_never_cross_boundary():

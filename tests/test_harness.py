@@ -267,3 +267,56 @@ class TestRunExperiment:
         index = run_experiment(spec)
         assert index["errors"] and "k >= 40" in index["errors"][0]["error"]
         assert (tmp_path / "degrees_seed7.csv").exists()  # partial output
+
+
+class TestFractionalIntegers:
+    """A fractional value where an integer is due raises, where it used to be
+    truncated; an integral float, such as 1e4 read from JSON, passes."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 100.7), ("m", 2.9), ("seed", 3.5), ("delta", 2.5),
+        ("checkpoint_times", (10.5,)), ("checkpoint_times", (10, 20.25))])
+    def test_model_config(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field.replace('_', ' ')} must be integers$"):
+            tiny_config(**{field: value})
+
+    def test_integral_floats_pass(self):
+        cfg = tiny_config(n=1e4, m=2.0, seed=3.0, delta=2.0, checkpoint_times=(10.0, 1e4))
+        assert (cfg.n, cfg.m, cfg.seed, cfg.delta) == (10000, 2, 3, 2)
+        assert cfg.checkpoint_times == (10, 10000)
+        assert all(type(v) is int for v in (cfg.n, cfg.m, cfg.seed, cfg.delta,
+                                            *cfg.checkpoint_times))
+        assert derive_parameters(1e4, 1.0, 1.0, 0.5) == derive_parameters(10 ** 4, 1.0, 1.0, 0.5)
+        # every 64-bit seed stays a seed, and a larger one names the bound
+        for seed in (2 ** 64 - 1, np.uint64(2 ** 64 - 1)):
+            assert tiny_config(seed=seed).seed == 2 ** 64 - 1
+        with pytest.raises(ValueError, match="^seed must fit in 64 bits$"):
+            tiny_config(seed=2 ** 64)
+
+    def test_spec_file(self):
+        with pytest.raises(ValueError, match="^n must be integers$"):
+            ExperimentSpec.from_json_dict(spec_dict(config={**tiny_config().to_json_dict(),
+                                                            "n": 100.5}))
+        spec = ExperimentSpec.from_json_dict(
+            spec_dict(config={**tiny_config().to_json_dict(), "n": 1e4}))
+        assert spec.config.n == 10000
+
+    def test_derive_parameters(self):
+        with pytest.raises(ValueError, match="^n must be integers$"):
+            derive_parameters(100.9, 1.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("analysis, opts, message", [
+        ("degrees", {"k_min": 4.7}, "k_min must be integers"),
+        ("communities", {"centers": 5.5}, "centers must be integers"),
+        ("expander", {"centers": 5.5}, "centers must be integers"),
+    ])
+    def test_analysis_options(self, analysis, opts, message):
+        cfg = tiny_config()
+        g, trace = generate(cfg)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ANALYSES[analysis].run(g, trace, cfg, opts, lambda table: None)
+        whole = {k: float(round(v)) for k, v in opts.items()}
+        if analysis != "degrees":   # the tiny graph's tail is too short to fit
+            assert ANALYSES[analysis].run(g, trace, cfg, whole, lambda table: None) == \
+                ANALYSES[analysis].run(g, trace, cfg, {k: int(v) for k, v in whole.items()},
+                                       lambda table: None)

@@ -150,11 +150,6 @@ class TestDegreeHistogram:
         h.write_csv(p)
         assert p.read_text() == "k,count\n2,1\n4,2\n"
 
-    def test_json(self):
-        h = DegreeHistogram(counts={4: 2, 2: 1}, kind="plain", n=3)
-        d = json.loads(json.dumps(h.to_json_dict()))
-        assert d == {"kind": "plain", "n": 3, "k": [2, 4], "count": [1, 2]}
-
 
 # ---------------------------------------------------------------------------
 # analytic degree law

@@ -12,7 +12,7 @@ from gpanet.graph import EdgeKind, EvolvingGraph
 from gpanet.metrics import diameter
 from gpanet.models import (DEFAULT_PROBE_SEED, GenerationTrace, ModelConfig, _auto_cell,
                            _draw, _layers, _pick, default_probes, generate)
-from gpanet.sphere import angular_distance, sample_uniform
+from gpanet.sphere import angular_distance, from_angles, sample_uniform
 
 from oracles import cap_members_scan, component_diameters_scan, layers_scan
 
@@ -66,12 +66,23 @@ class TestModelConfig:
         assert c.checkpoint_times == (10, 20, 30)
 
     def test_probes_from_sphere_points_and_arrays(self):
-        from gpanet.sphere import SpherePoint
-        pts = [SpherePoint.from_angles(0.3, 1.0), SpherePoint.from_angles(2.0, 4.0)]
+        pts = from_angles([0.3, 2.0], [1.0, 4.0])
         c = cfg(probes=pts)
-        assert c.probes.shape == (2, 3)
+        assert c.probes.shape == (2, 3) and np.array_equal(c.probes, pts)
+        assert c.probes is not pts
+        # a list of points and a lone point are rows too
+        assert np.array_equal(cfg(probes=list(pts)).probes, pts)
+        assert cfg(probes=pts[0]).probes.shape == (1, 3)
         with pytest.raises(ValueError):
             cfg(probes=np.array([[0.0, 0.0, 2.0]]))
+        # a spec's [colat, lon] pairs are the same rows, bit for bit
+        d = {**cfg().to_json_dict(), "probes": [[0.3, 1.0], [2.0, 4.0]]}
+        assert np.array_equal(ModelConfig.from_json_dict(d).probes, pts)
+        for bad in ([[0.3, 1.0, 2.0]], [0.3, 1.0], 5):
+            with pytest.raises(TypeError, match=r"\[colat, lon\] pairs"):
+                ModelConfig.from_json_dict({**d, "probes": bad})
+        with pytest.raises(ValueError, match="colatitude"):
+            ModelConfig.from_json_dict({**d, "probes": [[3.5, 1.0]]})
 
     def test_json_round_trip(self):
         c = cfg(model="hybrid", n=30, m=3, xi=2.0, r=0.4, seed=99,

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from gpanet.sphere import (
     SPHERE_RADIUS,
-    SpherePoint,
     angular_distance,
     cap_area,
+    from_angles,
     sample_uniform,
     to_angles,
     unit_rows,
@@ -19,50 +19,55 @@ def test_sphere_radius_gives_unit_area():
 
 
 class TestSpherePoint:
+    """Points on the sphere: rows of unit vectors, made from angles by
+    from_angles and checked by unit_rows."""
+
     def test_from_angles_roundtrip(self):
-        p = SpherePoint.from_angles(1.1, 2.2)
-        assert p.colat == pytest.approx(1.1)
-        assert p.lon == pytest.approx(2.2)
-        assert p.vec @ p.vec == pytest.approx(1.0)
+        p = from_angles(1.1, 2.2)
+        assert p.shape == (1, 3)
+        colat, lon = to_angles(p)
+        assert colat[0] == pytest.approx(1.1)
+        assert lon[0] == pytest.approx(2.2)
+        assert p[0] @ p[0] == pytest.approx(1.0)
+        # many points at once, each the row its own angles give
+        rng = np.random.default_rng(5)
+        c, ph = rng.uniform(0.0, np.pi, 50), rng.uniform(-20.0, 20.0, 50)
+        rows = from_angles(c, ph)
+        assert rows.shape == (50, 3)
+        assert all(np.array_equal(rows[i], from_angles(c[i], ph[i])[0]) for i in range(50))
+        np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-15)
 
     def test_poles(self):
-        north = SpherePoint.from_angles(0.0, 0.0)
-        south = SpherePoint.from_angles(np.pi, 1.5)
-        assert north.distance_to(south) == pytest.approx(np.pi)
+        north, south = from_angles([0.0, np.pi], [0.0, 1.5])
+        assert north.tolist() == [0.0, 0.0, 1.0]
+        assert angular_distance(north, south) == pytest.approx(np.pi)
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
-            SpherePoint(np.array([1.0, 1.0, 0.0]))
+            unit_rows(np.array([1.0, 1.0, 0.0]), "p")
 
     def test_rejects_bad_shape_and_nan(self):
         with pytest.raises(ValueError):
-            SpherePoint(np.array([1.0, 0.0]))
+            unit_rows(np.array([1.0, 0.0]), "p")
         with pytest.raises(ValueError):
-            SpherePoint(np.array([np.nan, 0.0, 0.0]))
-        with pytest.raises(ValueError):
-            SpherePoint.from_angles(4.0, 0.0)
-
-    def test_from_vector_normalizes(self):
-        p = SpherePoint.from_vector([0.0, 0.0, 5.0])
-        assert p.colat == pytest.approx(0.0)
-        with pytest.raises(ValueError):
-            SpherePoint.from_vector([0.0, 0.0, 0.0])
-
-    def test_vector_is_readonly(self):
-        p = SpherePoint.from_angles(0.5, 0.5)
-        with pytest.raises(ValueError):
-            p.vec[0] = 2.0
+            unit_rows(np.array([np.nan, 0.0, 0.0]), "p")
+        for lon in (np.inf, np.nan, [0.0, -np.inf]):
+            with pytest.raises(ValueError, match="longitude must be finite"):
+                from_angles(1.0, lon)
+        for colat in (4.0, -0.1, np.nan, [0.5, 3.5]):
+            with pytest.raises(ValueError, match="colatitude must lie in"):
+                from_angles(colat, 0.0)
 
 
 class TestToAngles:
     def test_inverts_from_angles(self):
-        pts = [SpherePoint.from_angles(c, lon)
-               for c, lon in ((0.3, 0.1), (1.2, 3.5), (2.9, 6.0))]
-        colat, lon = to_angles(np.stack([p.vec for p in pts]))
+        pts = from_angles([0.3, 1.2, 2.9], [0.1, 3.5, 6.0])
+        colat, lon = to_angles(pts)
         np.testing.assert_allclose(colat, [0.3, 1.2, 2.9], atol=1e-12)
         np.testing.assert_allclose(lon, [0.1, 3.5, 6.0], atol=1e-12)
-        assert [p.colat for p in pts] == colat.tolist()
-        assert [p.lon for p in pts] == lon.tolist()
+        # longitudes outside [0, 2pi) come back reduced
+        _, lon = to_angles(from_angles([1.0, 1.0], [-1.0, 2.0 * np.pi + 1.0]))
+        np.testing.assert_allclose(lon, [2.0 * np.pi - 1.0, 1.0], atol=1e-12)
 
     def test_poles_and_range(self):
         colat, lon = to_angles(np.array([[0.0, 0.0, 1.0], [0.0, -0.0, -1.0],
@@ -75,7 +80,8 @@ class TestToAngles:
 class TestUnitRows:
     def test_accepts_rows_and_a_lone_point(self):
         assert unit_rows(np.array([[0.0, 0.0, 1.0]]), "p").shape == (1, 3)
-        assert unit_rows(SpherePoint.from_angles(0.5, 0.5), "p").shape == (1, 3)
+        assert unit_rows(np.array([0.0, 0.0, 1.0]), "p").shape == (1, 3)
+        assert unit_rows(from_angles(0.5, 0.5), "p").shape == (1, 3)
         assert unit_rows(np.empty((0, 3)), "p").shape == (0, 3)
 
     def test_rejects_non_unit_and_bad_shape(self):
