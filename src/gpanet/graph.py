@@ -59,6 +59,14 @@ def _integer_ids(a, what: str = "vertex ids") -> np.ndarray:
     return a.astype(np.int64, copy=False)
 
 
+def _integer(v, what: str) -> int:
+    """v as a Python int by _integer_ids' rule; a Python int passes as is,
+    since it may exceed int64 (a seed may be up to 2**64 - 1)."""
+    if not isinstance(v, int):
+        _integer_ids(v, what)
+    return int(v)
+
+
 def _distinct(a) -> np.ndarray:
     """The sorted distinct values of a, as np.unique gives them.
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import _integer_ids
+from .graph import _integer, _integer_ids
 from .metrics import (DegreeHistogram, analytic_fk, community_check,
                       concentration_report, degree_histogram, diameter,
                       expander_scan, fit_power_law_exponent, json_ready,
@@ -124,7 +124,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         set_ = lambda k, v: object.__setattr__(self, k, v)
-        set_("seeds", tuple(int(s) for s in self.seeds))
+        set_("seeds", tuple(_integer(s, "seeds") for s in self.seeds))
         set_("analyses", tuple(str(a) for a in self.analyses))
         set_("out_dir", str(self.out_dir))
         set_("options", {str(k): dict(v) for k, v in self.options.items()})
@@ -156,11 +156,12 @@ class ExperimentSpec:
         so runs are reproducible from (master_seed, trial count) alone and
         adding trials never perturbs earlier ones.
         """
+        master_seed, trials = _integer(master_seed, "master seed"), _integer(trials, "trials")
         if trials < 1:
             raise ValueError("trials must be >= 1")
         seeds = tuple(
-            int(np.random.SeedSequence([int(master_seed), i]).generate_state(1)[0])
-            for i in range(int(trials)))
+            int(np.random.SeedSequence([master_seed, i]).generate_state(1)[0])
+            for i in range(trials))
         return cls(config=config, seeds=seeds, analyses=tuple(analyses),
                    out_dir=out_dir, options=dict(options or {}))
 

@@ -10,19 +10,24 @@ self-loops and rewires one loop of the newborn plus one loop of a uniformly
 chosen holder z into a flexible edge (degree-neutral for both).
 
 All three grow in blocks of newborns.  One cap query fetches the candidates
-of a whole block, and the block takes its random numbers in birth order:
-each newborn's m uniforms (none after an isolated birth), then the number
-for its long or flexible edge.  The contacts follow from the uniforms and
-the weights.  A block of fewer than _LAYER_MIN newborns (wide caps) draws
-each newborn's contacts as soon as its uniforms are taken.  Newborns that
-share no candidate read and write disjoint weights, so a larger block
-(narrow caps) keeps its uniforms and is then cut into layers: a newborn's
-layer is one more than the highest layer of the earlier newborns of the
-block that share a candidate with it, and each layer draws all its
-contacts in one vectorised step.  Both give the contacts that per-newborn
-draws in birth order give, byte for byte, since every pick goes through
-_pick.  A block ends at each checkpoint, so the probes read the tallies
-after exactly that many newborns.
+of a whole block.  The random numbers are those of the Generator calls in
+birth order: each newborn's rng.random(m) (none after an isolated birth),
+then rng.integers(0, b) for the far end of its long or flexible edge.
+_Stream takes a block's share of that stream with one raw-word draw and
+derives from the words what the calls would return (see _Stream), so
+the graphs stay those of per-call draws.  The hybrid model's bounds are
+known in advance (b = t) and its far ends are derived in one step; the
+self-loop model's bound is the data-dependent holder count, so its holder
+loop runs newborn by newborn over the block's precomputed numbers.  The
+contacts follow from the uniforms and the weights.  A block of fewer than
+_LAYER_MIN newborns (wide caps) draws its newborns' contacts one after
+another.  Newborns that share no candidate read and write disjoint weights,
+so a larger block (narrow caps) is cut into layers: a newborn's layer is one
+more than the highest layer of the earlier newborns of the block that share
+a candidate with it, and each layer draws all its contacts in one vectorised
+step.  Both give the contacts that per-newborn draws in birth order give,
+byte for byte, since every pick goes through _pick.  A block ends at each
+checkpoint, so the probes read the tallies after exactly that many newborns.
 
 The loop records only the draws: each newborn's m contacts and the far end
 of its long or flexible edge.  The edge list is built from them after the
@@ -32,6 +37,7 @@ order (2m loops after an isolated birth), then its long or flexible edge.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from itertools import pairwise
@@ -43,7 +49,7 @@ import numpy.random  # noqa: F401
 
 from .capindex import CapIndex, _spans
 from .graph import MODEL_NAMES as MODELS
-from .graph import EdgeKind, EvolvingGraph, _integer_ids, _write_csv
+from .graph import EdgeKind, EvolvingGraph, _integer, _integer_ids, _write_csv
 from .sphere import _check_radius, from_angles, sample_uniform, to_angles, unit_rows
 
 # fixed probe placement stream, independent of the run seed so that traces
@@ -98,9 +104,7 @@ class ModelConfig:
         for name in ("n", "m", "seed", "delta"):
             v = getattr(self, name)
             if v is not None:
-                if not isinstance(v, int):   # a Python int may exceed int64
-                    _integer_ids(v, name)    # a fraction raises; 1e4 passes
-                set_(name, int(v))
+                set_(name, _integer(v, name))   # a fraction raises; 1e4 passes
         set_("xi", float(self.xi))
         set_("r", _check_radius(self.r))
         if self.n < 1:
@@ -199,6 +203,172 @@ def _draw(weights: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     return _pick(cum, rng.random(m), cum[-1])
 
 
+_M32 = (1 << 32) - 1
+
+
+class _Stream:
+    """A Generator's random(m) and integers(0, b) calls in birth order, taken
+    with one raw-word draw per block of newborns.
+
+    Newborn i of a block calls rng.random(m) if drawn[i], then, if calls[i],
+    rng.integers(0, b) with 2 <= b < 2**32 (integers(0, 1) takes nothing and
+    gives 0, so it is no call here).  numpy's PCG64 serves them from 64-bit
+    words (O'Neill, PCG, 2014): a uniform is (word >> 11) * 2**-53, and an
+    integer call takes a 32-bit half h, the low half of a fresh word or, at
+    the next integer call, that word's buffered high half; the buffer carries
+    across blocks and starts from the bit generator's.  The integer is
+    (h * b) >> 32, unless (h * b) mod 2**32 < (2**32 - b) mod b, when the
+    call rejects h and takes the next half (Lemire, Fast Random Integer
+    Generation in an Interval, ACM TOMACS 2019).
+
+    block() lays out a block as if no half rejects and draws its words; a
+    rejection lays out the rest of the block again from the word after the
+    rejected half.  A retry only adds a half, so the block never draws more
+    words than the calls take.  _check_stream compares all this with a real
+    Generator.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._bits = rng.bit_generator
+        state = self._bits.state
+        # the buffered high half after the calls laid out so far
+        self._half = state["uinteger"] if state["has_uint32"] else None
+
+    def block(self, drawn: np.ndarray, m: int, calls: np.ndarray) -> None:
+        """Start a block whose newborn i takes m uniforms if drawn[i], then
+        makes one integer call if calls[i]."""
+        self._m = m
+        self._take = m * drawn
+        self._calls = calls
+        self._owner = np.flatnonzero(calls)     # the newborn of each call
+        self._words = np.empty(0, dtype=np.uint64)
+        self._first = np.empty(calls.size, dtype=np.int64)   # each newborn's first word
+        # per call: its half, the word after its uniforms, and whether it
+        # takes that word's low half (else the buffered one)
+        self._halves = np.empty(self._owner.size, dtype=np.uint64)
+        self._at = np.empty(self._owner.size, dtype=np.int64)
+        self._fresh = np.empty(self._owner.size, dtype=bool)
+        self._lay(0, 0, 0, self._half, False)
+
+    def _lay(self, i, j, pos, half, retry):
+        """Lay out newborns i onwards from word pos with the buffered half
+        `half`, newborn i's call being call j; on a retry, newborn i's
+        uniforms and rejected halves are taken already."""
+        take = self._take[i:]
+        if retry:
+            take = take.copy()
+            take[0] = 0
+        calls = self._calls[i:]
+        # a call takes a fresh word when no half is buffered, so every other one
+        k = calls.cumsum() - calls
+        fresh = calls & ((k + (half is not None)) % 2 == 0)
+        step = take + fresh
+        first = pos + step.cumsum() - step
+        end = int(first[-1] + step[-1])
+        if end > self._words.size:
+            self._words = np.concatenate([self._words, self._bits.random_raw(end - self._words.size)])
+        self._first[i + retry:] = first[retry:]
+        own = self._owner[j:] - i
+        at = self._at[j:] = first[own] + take[own]
+        f = self._fresh[j:] = fresh[own]
+        h = self._halves[j:]
+        if h.size:
+            fi = np.flatnonzero(f)
+            word = self._words[at[fi]]
+            h[fi] = word & _M32
+            # the call after a fresh one takes its high half
+            nxt = fi + 1
+            h[nxt[nxt < h.size]] = word[nxt < h.size] >> 32
+            if half is not None:
+                h[0] = half
+            half = int(word[-1] >> 32) if f[-1] else None
+        self._half = half
+
+    def _reject(self, j: int) -> None:
+        """Call j rejected its half: lay out the rest again from its retry."""
+        at, fresh = int(self._at[j]), bool(self._fresh[j])
+        half = int(self._words[at] >> 32) if fresh else None
+        self._lay(int(self._owner[j]), j, at + fresh, half, True)
+
+    def integers(self, bound: np.ndarray) -> np.ndarray:
+        """integers(0, bound[j]) for every call j of the block."""
+        bound = bound.astype(np.uint64)
+        threshold = (2 ** 32 - bound) % bound
+        j = 0
+        while True:
+            x = self._halves * bound
+            bad = np.flatnonzero((x[j:] & _M32) < threshold[j:])
+            if not bad.size:
+                return (x >> 32).astype(np.int64)
+            j += int(bad[0])
+            self._reject(j)
+
+    def integer(self, j: int, bound: int) -> int:
+        """integers(0, bound) for call j, with bound known only now."""
+        if bound < 2:   # the call was laid out as taking a half
+            raise AssertionError(f"integer call {j} has bound {bound} < 2")
+        while True:
+            x = int(self._halves[j]) * bound
+            if x & _M32 >= (2 ** 32 - bound) % bound:
+                return x >> 32
+            self._reject(j)
+
+    def uniforms(self) -> np.ndarray:
+        """The block's uniforms, one row of m per newborn that takes them."""
+        first = self._first[self._take > 0]
+        return (self._words[first[:, None] + np.arange(self._m)] >> 11) * 2.0 ** -53
+
+
+@functools.cache
+def _check_stream() -> None:
+    """Compare _Stream with per-call Generator draws, once per process.
+
+    The fixed blocks hold integers(0, 1), bounds just above 3 * 2**30
+    (about a quarter of their halves reject) and 2**32 - 1, bounds given all
+    at once and one at a time, blocks that start with and without a
+    buffered half, and a block without uniforms; on this seed both kinds of
+    bound see rejected fresh and buffered halves (tests/test_models.py).
+    A numpy whose random or integers stream differs raises here rather than
+    grow other graphs from a seed.
+    """
+    seed, m, big = 14, 3, 3 << 30
+    blocks = [  # per newborn: takes uniforms, bound (0: no integer call)
+        ([0, 1, 1, 0, 1], [0, 1, 2, 3, 4], False),
+        ([1, 0, 1, 1, 1, 0], [big, big + 5, 7, big, 2 ** 32 - 1, big + 1], False),
+        ([1, 1, 0, 1, 1], [big, big + 2, 9, big, 5], True),
+        ([0, 0, 0], [big, 11, big + 3], True),
+        ([1, 1, 0, 1], [0, 0, 0, 0], False),
+        ([1, 0, 1, 1, 1, 1], [big, 6, big + 7, big, big + 9, 13], False),
+        ([0, 1, 1], [big + 4, 1, big], True),
+    ]
+    want = np.random.default_rng(seed)
+    stream = _Stream(np.random.default_rng(seed))
+    same = True
+    for drawn, bound, one_by_one in blocks:
+        drawn, bound = np.array(drawn, dtype=bool), np.array(bound)
+        u, ints = [], []
+        for d, b in zip(drawn, bound):
+            if d:
+                u.append(want.random(m))
+            if b:
+                ints.append((b, want.integers(0, b)))
+        calls = bound >= 2
+        stream.block(drawn, m, calls)
+        if one_by_one:
+            got = [stream.integer(j, int(b)) for j, b in enumerate(bound[calls])]
+        else:
+            got = stream.integers(bound[calls]).tolist()
+        same &= np.array_equal(stream.uniforms(), np.reshape(u, (-1, m)))
+        same &= got == [x for b, x in ints if b >= 2]
+    state = want.bit_generator.state
+    same &= stream._bits.state["state"] == state["state"]
+    same &= stream._half == (state["uinteger"] if state["has_uint32"] else None)
+    if not same:
+        raise RuntimeError(f"numpy {np.__version__} draws Generator.random and "
+                           "Generator.integers from other words than generate expects; "
+                           "its graphs would differ from those of the same seeds before")
+
+
 def _layers(cands: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     """Layer of each newborn of a block whose candidates are cands[ptr[i]:ptr[i + 1]].
 
@@ -265,8 +435,10 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
     """Grow the model named by cfg.model; return the graph and its trace."""
     n, m, delta, r = cfg.n, cfg.m, cfg.delta, cfg.r
     model = cfg.model
+    _check_stream()
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     pos = sample_uniform(rng, n).reshape(n, 3)
+    stream = _Stream(rng)
     # positions are fixed before any edges exist, so every newborn's candidate
     # set is too: the cap structure is built once, and the candidates of a
     # block of newborns are fetched in one query that filters by birth order
@@ -309,31 +481,21 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
         # an isolated birth's m loops more, booked before the block's draws
         weight[lo:hi] += m * iso
 
-        # the random stream in birth order: each newborn's uniforms (none
-        # after an isolated birth), then the draw for its long or flexible
-        # edge.  A layered block keeps the uniforms for its layers, row i for
-        # newborn lo + i; a smaller one draws each newborn's contacts at once.
-        layered = hi - lo >= _LAYER_MIN
-        if layered:
-            u = np.empty((hi - lo, m))
-        else:
-            at = at.tolist()
-        for i, lone in enumerate(iso.tolist()):
-            t = lo + i
-            if layered and not lone:
-                rng.random(m, out=u[i])
-            elif not lone:
-                cand = cands[at[i]:at[i + 1]]
-                drawn = contacts[t] = cand[_draw(weight.take(cand), m, rng)]
-                np.add.at(weight, drawn, 1)
-            if model == "hybrid" and t > 0:
-                partner[t] = rng.integers(0, t)
-            elif model == "selfloop":
-                floops[t] = delta
+        # the block's random stream: newborn t >= 2 of a hybrid or self-loop
+        # graph makes an integer call; at t = 1 the bound is 1, which takes
+        # nothing and gives 0
+        stream.block(~iso, m, (model != "base") & (np.arange(lo, hi) >= 2))
+        first = max(lo, 2)
+        if model == "hybrid" and first < hi:
+            partner[first:hi] = stream.integers(np.arange(first, hi))
+        elif model == "selfloop":
+            floops[lo:hi] = delta
+            for t in range(lo, hi):
                 if t > 0:
-                    if hcount <= 0:
-                        raise AssertionError("flexible-loop holder set empty at rewiring time")
-                    j = int(rng.integers(0, hcount))
+                    # the holder count never falls (a newborn frees at most
+                    # one holder and becomes one), so it is 1 at t = 1 and
+                    # at least 2 after, where the call is laid out
+                    j = stream.integer(t - first, hcount) if t > 1 else 0
                     z = partner[t] = holders[j]
                     # one loop of z and one of the newborn become a flexible
                     # edge; both degrees are unchanged
@@ -345,9 +507,18 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
                 # delta >= 2, so the newborn still holds a loop
                 holders[hcount] = t
                 hcount += 1
-        if layered:
-            drawers = np.flatnonzero(~iso)
-            contacts[lo + drawers] = _draw_layered(cands, at, drawers, u[drawers], weight)
+        # row j of u holds the uniforms of newborn lo + drawers[j]
+        drawers = np.flatnonzero(~iso)
+        u = stream.uniforms()
+        if hi - lo >= _LAYER_MIN:
+            contacts[lo + drawers] = _draw_layered(cands, at, drawers, u, weight)
+        else:
+            at = at.tolist()
+            for i, row in zip(drawers.tolist(), u):
+                cand = cands[at[i]:at[i + 1]]
+                cum = weight.take(cand).cumsum()
+                drawn = contacts[lo + i] = cand[_pick(cum, row, cum[-1])]
+                np.add.at(weight, drawn, 1)
         lo = hi
 
         if cp < times.size and hi == cuts[cp]:

@@ -293,6 +293,23 @@ class TestFractionalIntegers:
         with pytest.raises(ValueError, match="^seed must fit in 64 bits$"):
             tiny_config(seed=2 ** 64)
 
+    def test_experiment_seeds(self):
+        with pytest.raises(ValueError, match="^seeds must be integers$"):
+            ExperimentSpec(tiny_config(), (5.5,), ("degrees",), "o")
+        with pytest.raises(ValueError, match="^master seed must be integers$"):
+            ExperimentSpec.from_master(tiny_config(), 42.7, 2, ("degrees",), "o")
+        with pytest.raises(ValueError, match="^trials must be integers$"):
+            ExperimentSpec.from_master(tiny_config(), 42, 2.5, ("degrees",), "o")
+        # integral floats pass, and every 64-bit seed stays a seed
+        spec = ExperimentSpec(tiny_config(), (5.0, 2 ** 64 - 1, np.uint64(2 ** 63)),
+                              ("degrees",), "o")
+        assert spec.seeds == (5, 2 ** 64 - 1, 2 ** 63)
+        assert all(type(s) is int for s in spec.seeds)
+        assert ExperimentSpec.from_master(tiny_config(), 42.0, 2.0, ("degrees",), "o").seeds == \
+            ExperimentSpec.from_master(tiny_config(), 42, 2, ("degrees",), "o").seeds
+        assert len(ExperimentSpec.from_master(tiny_config(), 2 ** 64 - 1, 1,
+                                              ("degrees",), "o").seeds) == 1
+
     def test_spec_file(self):
         with pytest.raises(ValueError, match="^n must be integers$"):
             ExperimentSpec.from_json_dict(spec_dict(config={**tiny_config().to_json_dict(),

@@ -1,8 +1,9 @@
 import json
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -11,7 +12,7 @@ from gpanet.capindex import DOT_TOL, CapIndex
 from gpanet.graph import EdgeKind, EvolvingGraph
 from gpanet.metrics import diameter
 from gpanet.models import (DEFAULT_PROBE_SEED, GenerationTrace, ModelConfig, _auto_cell,
-                           _draw, _layers, _pick, default_probes, generate)
+                           _draw, _layers, _pick, _Stream, default_probes, generate)
 from gpanet.sphere import angular_distance, from_angles, sample_uniform
 
 from oracles import cap_members_scan, component_diameters_scan, layers_scan
@@ -417,6 +418,127 @@ class TestLayeredDraws:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         for name in ("occupancy", "attach_mass", "isolated_in_cap"):
             assert getattr(t1, name).tobytes() == getattr(t2, name).tobytes(), name
+
+
+# a newborn of a block: whether it takes m uniforms, then integers(0, bound)
+# if bound > 0; bound 1 takes nothing, and a bound b from 3 * 2**30 rejects
+# a share (2**32 - b) / 2**32, up to a quarter, of its halves.  A block also
+# says whether its bounds are fed one at a time, as the self-loop model's
+# holder loop feeds them.
+NEWBORN = st.tuples(st.booleans(), st.one_of(st.just(0), st.just(1), st.integers(2, 50),
+                                             st.integers(3 << 30, 2 ** 32 - 1)))
+BLOCK = st.tuples(st.lists(NEWBORN, min_size=1, max_size=12), st.booleans())
+
+
+def per_call_draws(rng, m, blocks):
+    """Per block, the uniform rows and the integers of bounds >= 2 that one
+    Generator call per draw gives."""
+    out = []
+    for newborns, _ in blocks:
+        u, ints = [], []
+        for drawn, bound in newborns:
+            if drawn:
+                u.append(rng.random(m))
+            if bound:
+                x = int(rng.integers(0, bound))
+                if bound >= 2:
+                    ints.append(x)
+        out.append((np.reshape(u, (-1, m)), ints))
+    return out
+
+
+def stream_draws(rng, m, blocks):
+    """The same draws taken through one _Stream, and the stream."""
+    stream, out = _Stream(rng), []
+    for newborns, one_by_one in blocks:
+        drawn = np.array([d for d, _ in newborns])
+        bound = np.array([b for _, b in newborns], dtype=np.int64)
+        calls = bound >= 2
+        stream.block(drawn, m, calls)
+        if one_by_one:
+            ints = [stream.integer(j, int(b)) for j, b in enumerate(bound[calls])]
+        else:
+            ints = stream.integers(bound[calls]).tolist()
+        out.append((stream.uniforms(), ints))
+    return out, stream
+
+
+class TestStream:
+    """_Stream gives what per-call Generator draws give, and takes the same
+    words: the bit generator ends in the same state, with the same buffered
+    half."""
+
+    @given(st.integers(0, 2 ** 64 - 1), st.integers(1, 4), st.booleans(),
+           st.lists(BLOCK, min_size=1, max_size=6))
+    @example(5, 2, False, [([(True, 7), (False, 9), (True, 3)], False),   # odd: a half carries
+                           ([(False, 1 << 31), (False, 0), (False, 5)], True),   # no uniforms
+                           ([(False, 4), (False, 6)], False),
+                           ([(True, 2 ** 32 - 1), (True, 1), (True, 3 << 30)], True)])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_call_draws(self, seed, m, buffered, blocks):
+        want, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:   # the Generator holds a half before the first block
+            want.integers(0, 7)
+            rng.integers(0, 7)
+        expected = per_call_draws(want, m, blocks)
+        got, stream = stream_draws(rng, m, blocks)
+        for (u1, i1), (u2, i2) in zip(expected, got):
+            assert u1.shape == u2.shape and u1.tobytes() == u2.tobytes()
+            assert i1 == i2
+        state = want.bit_generator.state
+        assert rng.bit_generator.state["state"] == state["state"]
+        assert stream._half == (state["uinteger"] if state["has_uint32"] else None)
+
+    def test_self_check_covers_its_cases(self, monkeypatch):
+        starts, rejected = [], set()
+        block, reject = _Stream.block, _Stream._reject
+
+        def spy_block(self, drawn, m, calls):
+            starts.append(self._half is not None)
+            block(self, drawn, m, calls)
+
+        def spy_reject(self, j):
+            # which entry point rejected, and whether the half was a fresh low half
+            rejected.add((sys._getframe(1).f_code.co_name, bool(self._fresh[j])))
+            reject(self, j)
+
+        monkeypatch.setattr(_Stream, "block", spy_block)
+        monkeypatch.setattr(_Stream, "_reject", spy_reject)
+        models._check_stream.__wrapped__()
+        assert set(starts) == {False, True}
+        assert rejected == {(f, fresh) for f in ("integer", "integers") for fresh in (False, True)}
+
+    @pytest.mark.parametrize("name, change", [("uniforms", lambda u: u / 2),
+                                              ("integers", lambda x: x + 1),
+                                              ("integer", lambda x: x + 1)])
+    def test_self_check_raises_on_another_stream(self, monkeypatch, name, change):
+        real = getattr(_Stream, name)
+        monkeypatch.setattr(_Stream, name, lambda self, *a: change(real(self, *a)))
+        with pytest.raises(RuntimeError, match="draws Generator.random and Generator.integers"):
+            models._check_stream.__wrapped__()
+
+    @pytest.mark.parametrize("model", ["base", "hybrid", "selfloop"])
+    def test_generate_calls_the_generator_only_for_positions(self, monkeypatch, model):
+        models._check_stream()
+        calls = []
+
+        class Spy:
+            def __init__(self, rng):
+                self.bit_generator = rng.bit_generator
+                self._rng = rng
+
+            def random(self, *a, **kw):
+                calls.append("random")
+                return self._rng.random(*a, **kw)
+
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: Spy(real(*a)))
+        g, _ = generate(cfg(model=model, n=300, m=3, r=0.4, seed=2))
+        monkeypatch.undo()
+        # sample_uniform's two calls, and the same graph as without the spy
+        assert calls == ["random", "random"]
+        assert g.edge_dst.tobytes() == generate(cfg(model=model, n=300, m=3, r=0.4,
+                                                    seed=2))[0].edge_dst.tobytes()
 
 
 class TestCapIndexHandoff:
