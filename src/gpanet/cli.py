@@ -69,11 +69,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--kmin", type=int, default=None, dest="k_min",
                    metavar="KMIN", help="fit threshold (default: m)")
-    p.add_argument("--kind", default="total")
+    p.add_argument("--kind", default=None)
 
     p = sub.add_parser("diameter", help="shortest-path diameter")
     _add_graph_args(p)
     _add_common(p)
+    # exact on purpose, unlike the experiment's component-wise: one command
+    # reports a disconnected graph at once, an experiment every component
     p.add_argument("--mode", default="exact",
                    choices=["exact", "component-wise"])
 
@@ -82,17 +84,17 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--R", type=float, default=None,
                    help="community radius (default: min(2r,pi))")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.25)
+    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--beta", type=float, default=None)
     p.add_argument("--size-cap", type=float, default=None)
-    p.add_argument("--centers", type=int, default=50)
+    p.add_argument("--centers", type=int, default=None)
 
     p = sub.add_parser("expander", help="conductance scan over radii")
     _add_graph_args(p)
     _add_common(p)
     p.add_argument("--radii", default=None, type=_float_list,
                    help="comma-separated radii (default: r,min(2r,pi))")
-    p.add_argument("--centers", type=int, default=100)
+    p.add_argument("--centers", type=int, default=None)
 
     p = sub.add_parser("concentration", help="cap occupancy vs expectation")
     _add_graph_args(p)

@@ -222,11 +222,11 @@ class EvolvingGraph:
     """Frozen result of a generation run (or a hand-built instance in tests).
 
     Vertex ids are 0-based array indices; vertex i is the (i+1)-th born, so
-    its birth_time is i+1.
+    its birth time is i+1 (the birth_time column of vertices.csv).
     """
 
     def __init__(self, model: str, positions, edge_src, edge_dst, edge_kind,
-                 flexible_loops=None, isolated_birth=None, config=None):
+                 flexible_loops=None, isolated_birth=None):
         self.model = str(model)
         if self.model not in MODEL_NAMES:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODEL_NAMES}")
@@ -256,8 +256,6 @@ class EvolvingGraph:
         self.isolated_birth = np.asarray(isolated_birth, dtype=bool)
         if self.isolated_birth.shape != (n,):
             raise ValueError("isolated_birth must be n flags")
-        self.birth_time = np.arange(1, n + 1, dtype=np.int64)
-        self.config = config
 
         # degree tallies are always recomputed from the edge list; generators
         # cross-check their running counters against these
@@ -294,13 +292,12 @@ class EvolvingGraph:
             canon = _KIND_ALIASES[kind.lower()]
         except KeyError:
             raise ValueError(f"unknown degree kind {kind!r}") from None
-        arr = {
-            "total": self.total_degree,
-            "plain": self.plain_degree,
-            "long": self.long_degree,
-            "non-flexible": self.plain_degree + self.long_degree,
-            "flexible": self.flexible_edge_degree + self.flexible_loops,
-        }[canon]
+        if canon == "non-flexible":
+            arr = self.plain_degree + self.long_degree
+        elif canon == "flexible":
+            arr = self.flexible_edge_degree + self.flexible_loops
+        else:
+            arr = getattr(self, f"{canon}_degree")
         if v is None:
             return arr
         return int(arr[_vertex_id(v, self.n)])
@@ -400,12 +397,12 @@ class EvolvingGraph:
                    (ids, self.edge_src), (ids, self.edge_dst), (KIND_NAMES, self.edge_kind))
 
     def write_vertices_csv(self, path) -> None:
-        """Vertex table: id,colatitude,longitude,birth_time."""
+        """Vertex table: id,colatitude,longitude,birth_time (= id + 1)."""
         colat, lon = to_angles(self.positions)
-        ids = _decimal_strings(self.n)
+        ids, order = _decimal_strings(self.n), np.arange(self.n)
         with open(path, "w") as f:
             _write_csv(f, "id,colatitude,longitude,birth_time", "%s,%.17g,%.17g,%s",
-                       (ids, np.arange(self.n)), colat, lon, (ids, self.birth_time))
+                       (ids, order), colat, lon, (ids[1:], order))
 
 
 _CSV_CHUNK_ROWS = 4096

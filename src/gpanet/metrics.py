@@ -781,7 +781,8 @@ def expander_scan(g: EvolvingGraph, v_sample, R_list) -> ExpanderScanReport:
             if vol_s == int(loop_deg[members].sum()):
                 flags[ri, ci] = FLAG_LOOP_ONLY
                 continue
-            phi[ri, ci] = g.conductance(members)
+            # g.conductance less its id checks and volume sum, as community_check
+            phi[ri, ci] = g._cut(members, connectivity=False)[0] / min(vol_s, vol_all - vol_s)
 
     with np.errstate(all="ignore"):
         min_phi = np.array([np.nanmin(row) if np.isfinite(row).any() else np.nan

@@ -26,20 +26,20 @@ so a larger block (narrow caps) is cut into layers: a newborn's layer is one
 more than the highest layer of the earlier newborns of the block that share
 a candidate with it, and each layer draws all its contacts in one vectorised
 step.  Both give the contacts that per-newborn draws in birth order give,
-byte for byte, since every pick goes through _pick.  A block ends at each
-checkpoint, so the probes read the tallies after exactly that many newborns.
+byte for byte, since every pick goes through _pick.
 
 The loop records only the draws: each newborn's m contacts and the far end
 of its long or flexible edge.  The edge list is built from them after the
 loop, grouped by newborn in birth order: each newborn's m contacts in draw
 order (2m loops after an isolated birth), then its long or flexible edge.
+The probe trace is read from the finished graph (_trace).
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import pairwise
 
 import numpy as np
@@ -49,7 +49,8 @@ import numpy.random  # noqa: F401
 
 from .capindex import CapIndex, _spans
 from .graph import MODEL_NAMES as MODELS
-from .graph import EdgeKind, EvolvingGraph, _integer, _integer_ids, _write_csv
+from .graph import (EdgeKind, EvolvingGraph, _integer, _integer_ids,
+                    _loop_aware_degrees, _write_csv)
 from .sphere import _check_radius, from_angles, sample_uniform, to_angles, unit_rows
 
 # fixed probe placement stream, independent of the run seed so that traces
@@ -57,10 +58,9 @@ from .sphere import _check_radius, from_angles, sample_uniform, to_angles, unit_
 DEFAULT_PROBE_SEED = 1729
 
 
-# target count of candidate rows per block of newborns, not a bound: a block
-# is sized from the rows per newborn of the block before it, which grow with
-# t, so it can fetch more (12773 rows for newborns 1750-3499 of hybrid
-# n=7000, m=24, r=ln n/sqrt n, seed 1, checkpoints every n/4)
+# target count of candidate rows per block of newborns, not a bound: rows
+# per newborn grow with t, so a block sized from the rate at its start can
+# fetch more (10755 rows for hybrid n=7000, m=24, r=ln n/sqrt n, seed 1)
 _BLOCK_ROWS = 1 << 13
 # newborns per block from which a block draws layer by layer; with fewer
 # (wide caps) the layering costs more than the per-newborn draws it saves
@@ -163,15 +163,16 @@ class ModelConfig:
 class GenerationTrace:
     """Occupancy Z_t(u) and attachment mass T_t(u) at the checkpoints.
 
-    attach_mass uses the generating model's contact degree kind, so it is the
-    exact normalizer a newborn at u would have seen at each checkpoint.
+    Row i is checkpoint t = times[i]: occupancy counts the vertices born
+    before t in each probe's closed cap, and attach_mass sums their plain
+    degree (over the edges of those newborns) + delta, the exact normalizer
+    a newborn at the probe would see at t.
     """
 
     probe_points: np.ndarray
     times: np.ndarray
     occupancy: np.ndarray        # shape (len(times), n_probes)
     attach_mass: np.ndarray      # shape (len(times), n_probes)
-    isolated_in_cap: np.ndarray = field(default=None)  # per probe: any isolated birth within r
 
     def write_csv(self, path) -> None:
         k = self.probe_points.shape[0]
@@ -197,10 +198,11 @@ def _pick(cum: np.ndarray, u: np.ndarray, total, base=None) -> np.ndarray:
     return cum.searchsorted(x, side="right")
 
 
-def _draw(weights: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m i.i.d. indices into weights, index i with probability w_i / sum(w)."""
+def _draw(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The index into weights that each uniform of u picks, index i with
+    probability w_i / sum(w)."""
     cum = weights.cumsum()
-    return _pick(cum, rng.random(m), cum[-1])
+    return _pick(cum, u, cum[-1])
 
 
 _M32 = (1 << 32) - 1
@@ -461,22 +463,13 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
     holders = np.empty(n, dtype=np.int64)
     hcount = 0
 
-    probes = cfg.probes
-    k_probes = probes.shape[0]
-    times = np.array(cfg.checkpoint_times, dtype=np.int64)
-    cuts = [*cfg.checkpoint_times, n]
-    cp = 0
-    occ = np.zeros((times.size, k_probes), dtype=np.int64)
-    mass = np.zeros((times.size, k_probes), dtype=np.int64)
-
     while lo < n:
-        # a block ends at each checkpoint, so the probes read the tallies
-        # after exactly that many newborns
-        hi = min(lo + block, cuts[cp])
+        hi = min(lo + block, n)
         cands, at = caps.members(pos[lo:hi], r, np.arange(lo, hi))
-        # at most _BLOCK_ROWS newborns, which bounds the block's uniforms
+        # rows per newborn, read at the block's middle, scaled to hi as if in
+        # proportion to t; at most _BLOCK_ROWS newborns bounds the uniforms
         block = min(2 * block, _BLOCK_ROWS,
-                    max(1, _BLOCK_ROWS * (hi - lo) // max(cands.size, 1)))
+                    max(1, _BLOCK_ROWS * (hi - lo) * (lo + hi) // (2 * hi * max(cands.size, 1))))
         iso = isolated[lo:hi] = at[1:] == at[:-1]
         # an isolated birth's m loops more, booked before the block's draws
         weight[lo:hi] += m * iso
@@ -516,18 +509,9 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
             at = at.tolist()
             for i, row in zip(drawers.tolist(), u):
                 cand = cands[at[i]:at[i + 1]]
-                cum = weight.take(cand).cumsum()
-                drawn = contacts[lo + i] = cand[_pick(cum, row, cum[-1])]
+                drawn = contacts[lo + i] = cand[_draw(weight.take(cand), row)]
                 np.add.at(weight, drawn, 1)
         lo = hi
-
-        if cp < times.size and hi == cuts[cp]:
-            if k_probes:
-                members, mptr = caps.members(probes, r, hi)
-                occ[cp] = np.diff(mptr)
-                held = np.concatenate([[0], weight[members].cumsum()])
-                mass[cp] = held[mptr[1:]] - held[mptr[:-1]]
-            cp += 1
 
     plain = weight - delta
     # the edge list, in the order of the module docstring; an isolated birth's
@@ -548,7 +532,7 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
         extra += np.bincount(partner[1:], minlength=n)
 
     g = EvolvingGraph(model, pos, src, dst, kind,
-                      flexible_loops=floops, isolated_birth=isolated, config=cfg)
+                      flexible_loops=floops, isolated_birth=isolated)
     # query_cap sorts, so the graph can answer with this grid's cell
     g._cap_index = caps
     # the container recounts degrees from the edge list; the running tallies
@@ -556,11 +540,25 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
     if not (np.array_equal(plain, g.plain_degree)
             and np.array_equal(extra, g.long_degree + g.flexible_edge_degree)):
         raise AssertionError("degree tallies disagree with edge-list recount")
+    return g, _trace(g, caps, cfg)
 
-    # closed-ball membership, as for the cap index and the occupancy
-    members, mptr = caps.members(probes, r)
-    iso_in_cap = np.zeros(k_probes, dtype=bool)
-    iso_in_cap[np.arange(k_probes).repeat(np.diff(mptr))[isolated[members]]] = True
-    trace = GenerationTrace(probe_points=probes, times=times, occupancy=occ,
-                            attach_mass=mass, isolated_in_cap=iso_in_cap)
-    return g, trace
+
+def _trace(g: EvolvingGraph, caps: CapIndex, cfg: ModelConfig) -> GenerationTrace:
+    """cfg's probe trace of the finished graph g.  The edges of the newborns
+    before t are a prefix of the birth-ordered edge list, so one plain-degree
+    tally, advanced from checkpoint to checkpoint, serves every row."""
+    times = np.array(cfg.checkpoint_times, dtype=np.int64)
+    occ = np.zeros((times.size, cfg.probes.shape[0]), dtype=np.int64)
+    mass = np.zeros_like(occ)
+    plain = np.zeros(g.n, dtype=np.int64)
+    lo = 0
+    for row, t in enumerate(times.tolist() if occ.size else ()):
+        hi = int(g.edge_src.searchsorted(t))
+        keep = g.edge_kind[lo:hi] == EdgeKind.PLAIN
+        plain += _loop_aware_degrees(g.edge_src[lo:hi][keep], g.edge_dst[lo:hi][keep], g.n)
+        lo = hi
+        members, mptr = caps.members(cfg.probes, cfg.r, t)
+        occ[row] = np.diff(mptr)
+        held = np.concatenate([[0], plain[members].cumsum()])
+        mass[row] = held[mptr[1:]] - held[mptr[:-1]] + cfg.delta * occ[row]
+    return GenerationTrace(cfg.probes, times, occ, mass)

@@ -140,3 +140,22 @@ def layers_scan(cands, ptr):
         below = [layer[j] for j in range(i) if sets[j] & mine]
         layer.append(1 + max(below) if below else 0)
     return np.array(layer, dtype=np.int64)
+
+
+def trace_scan(g, probes, r, delta, times):
+    """Occupancy and attachment mass of each probe's closed cap at each time t,
+    as (len(times), len(probes)) arrays: the members by a full scan over the
+    ids < t, the mass as delta per member plus the plain edge ends, loops
+    counting 1, of the edges with src < t that land on members.  The
+    reference for the trace generate returns."""
+    occ = np.zeros((len(times), len(probes)), dtype=np.int64)
+    mass = np.zeros_like(occ)
+    for ti, t in enumerate(times):
+        sel = (g.edge_kind == 0) & (g.edge_src < t)
+        edges = list(zip(g.edge_src[sel].tolist(), g.edge_dst[sel].tolist()))
+        for pi, p in enumerate(probes):
+            members = set(cap_members_scan(g.positions[:t], np.arange(t), p, r).tolist())
+            ends = sum((a in members) + (b in members and a != b) for a, b in edges)
+            occ[ti, pi] = len(members)
+            mass[ti, pi] = ends + delta * len(members)
+    return occ, mass

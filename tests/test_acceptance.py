@@ -342,7 +342,7 @@ def test_criterion_11_oracle_equivalence():
         srng = np.random.default_rng(50 + i)
         x = g.positions[int(srng.integers(0, g.n))]
         cand = g.cap_index.query_cap(x, 1.0)
-        contacts = cand[_draw(g.degree()[cand] + cfg.delta, draws, srng)]
+        contacts = cand[_draw(g.degree()[cand] + cfg.delta, srng.random(draws))]
         members = cap_members_scan(g.positions, np.arange(g.n), x, 1.0)
         weights = g.degree(None, "total")[members] + cfg.delta
         expected = weights / weights.sum() * draws

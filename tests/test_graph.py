@@ -56,7 +56,7 @@ def test_degree_kind_aliases():
         g.degree(0, kind="bogus")
 
 
-def test_vertex_record_fields():
+def test_vertex_record_fields(tmp_path):
     src = np.array([1, 1])
     dst = np.array([0, 1])
     kind = np.int8([0, 0])
@@ -66,7 +66,9 @@ def test_vertex_record_fields():
     assert g.plain_degree.tolist() == [1, 2]  # vertex 1: an edge to 0, plus a loop counting 1
     assert g.long_degree.tolist() == g.flexible_edge_degree.tolist() == [0, 0]
     assert g.flexible_loops.tolist() == [0, 0]
-    assert g.birth_time.tolist() == [1, 2]  # always id + 1
+    g.write_vertices_csv(tmp_path / "vertices.csv")
+    rows = (tmp_path / "vertices.csv").read_text().splitlines()
+    assert [row.split(",")[3] for row in rows[1:]] == ["1", "2"]  # always id + 1
     assert g.isolated_birth.tolist() == [False, True]
     assert g.total_degree.tolist() == [1, 2]
     assert g.degree(1) == 2 and isinstance(g.degree(1), int)

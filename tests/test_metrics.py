@@ -750,8 +750,7 @@ def make_trace(times, occ, mass, probes=2):
     times = np.asarray(times, dtype=np.int64)
     return GenerationTrace(probe_points=default_probes(probes), times=times,
                            occupancy=np.asarray(occ, dtype=np.int64),
-                           attach_mass=np.asarray(mass, dtype=np.int64),
-                           isolated_in_cap=np.zeros(probes, dtype=bool))
+                           attach_mass=np.asarray(mass, dtype=np.int64))
 
 
 def half_sphere_cfg(n=100):

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from gpanet import models
-from gpanet.capindex import DOT_TOL, CapIndex
+from gpanet.capindex import CapIndex
 from gpanet.graph import EdgeKind, EvolvingGraph
 from gpanet.metrics import diameter
 from gpanet.models import (DEFAULT_PROBE_SEED, GenerationTrace, ModelConfig, _auto_cell,
                            _draw, _layers, _pick, _Stream, default_probes, generate)
 from gpanet.sphere import angular_distance, from_angles, sample_uniform
 
-from oracles import cap_members_scan, component_diameters_scan, layers_scan
+from oracles import cap_members_scan, component_diameters_scan, layers_scan, trace_scan
 
 
 def cfg(model="base", n=50, m=2, xi=1.0, r=np.pi, seed=7, **kw):
@@ -296,7 +296,7 @@ class TestContactSampler:
 
     def test_forced_single_candidate(self):
         rng = np.random.default_rng(0)
-        assert _draw(np.array([3]), 5, rng).tolist() == [0] * 5
+        assert _draw(np.array([3]), rng.random(5)).tolist() == [0] * 5
 
     def test_weight_ratio_chi_square(self):
         # candidates at degree 4, 4 and 2, delta 2: weights 6, 6 and 4
@@ -308,7 +308,7 @@ class TestContactSampler:
         g = EvolvingGraph("base", pos, src, dst, kind)
         assert g.degree(0) == 4 and g.degree(1) == 4 and g.degree(2) == 2
         cand = g.cap_index.query_cap(pos[0], np.pi)
-        draws = cand[_draw(g.degree()[cand] + 2, 30000, rng)]
+        draws = cand[_draw(g.degree()[cand] + 2, rng.random(30000))]
         counts = np.bincount(draws, minlength=3)
         p = stats.chisquare(counts, f_exp=np.array([6, 6, 4]) / 16 * counts.sum()).pvalue
         assert p > 1e-3, (counts, p)
@@ -319,7 +319,7 @@ class TestContactSampler:
         g = EvolvingGraph("base", pos, np.empty(0, dtype=np.int64),
                           np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8))
         cand = g.cap_index.query_cap(pos[0], np.pi)
-        draws = cand[_draw(g.degree()[cand] + 3, 20000, rng)]
+        draws = cand[_draw(g.degree()[cand] + 3, rng.random(20000))]
         counts = np.bincount(draws, minlength=5)
         p = stats.chisquare(counts).pvalue
         assert p > 1e-3, (counts, p)
@@ -395,7 +395,7 @@ class TestPick:
     def test_draw_is_the_one_segment_pick(self):
         w = np.array([5, 1, 9, 2])
         u = np.random.default_rng(3).random(50)
-        assert np.array_equal(_draw(w, 50, np.random.default_rng(3)),
+        assert np.array_equal(_draw(w, u),
                               w.cumsum().searchsorted(u * w.sum(), side="right"))
 
 
@@ -416,7 +416,7 @@ class TestLayeredDraws:
         for name in ("edge_src", "edge_dst", "edge_kind", "isolated_birth", "flexible_loops"):
             a, b = getattr(g1, name), getattr(g2, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-        for name in ("occupancy", "attach_mass", "isolated_in_cap"):
+        for name in ("occupancy", "attach_mass"):
             assert getattr(t1, name).tobytes() == getattr(t2, name).tobytes(), name
 
 
@@ -575,45 +575,21 @@ class TestTrace:
         assert isinstance(tr, GenerationTrace)
         np.testing.assert_array_equal(tr.times, [1, 17, 60, 120])
         assert tr.occupancy.shape == (4, 4) and tr.attach_mass.shape == (4, 4)
-        plain = (g.edge_kind == EdgeKind.PLAIN)
-        for ti, cp in enumerate(tr.times):
-            sel = plain & (g.edge_src <= cp - 1)
-            s, d = g.edge_src[sel], g.edge_dst[sel]
-            deg_at = (np.bincount(s, minlength=c.n) + np.bincount(d, minlength=c.n)
-                      - np.bincount(s[s == d], minlength=c.n))
-            for pi in range(4):
-                members = cap_members_scan(g.positions[:cp], np.arange(cp),
-                                           probes[pi], c.r)
-                assert tr.occupancy[ti, pi] == members.size
-                want = deg_at[members].sum() + c.delta * members.size
-                assert tr.attach_mass[ti, pi] == want
+        occ, mass = trace_scan(g, probes, c.r, c.delta, tr.times)
+        np.testing.assert_array_equal(tr.occupancy, occ)
+        np.testing.assert_array_equal(tr.attach_mass, mass)
 
-    def test_isolated_in_cap_flag(self):
-        kw = dict(model="base", n=200, m=2, xi=1.0, r=0.12, seed=4, checkpoint_times=(200,))
-        c = cfg(**kw)
-        g, _ = generate(c)
-        iso_pos = g.positions[g.isolated_birth]
-        # one more probe at dot cos(r) - 5e-13 from vertex 0, an isolated
-        # birth, and farther than 2r from every other: a member of vertex 0's
-        # closed ball only through the tolerance
-        p0 = g.positions[0]
-        e1 = np.cross(p0, [0.0, 0.0, 1.0])
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(p0, e1)
-        cos_a = np.cos(c.r) - 5e-13
-        for phi in np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False):
-            edge = cos_a * p0 + np.sqrt(1.0 - cos_a ** 2) * (np.cos(phi) * e1 + np.sin(phi) * e2)
-            if (iso_pos[1:] @ edge < np.cos(2 * c.r)).all():
-                break
-        else:
-            pytest.fail("no probe direction clear of other isolated births")
-        assert np.cos(c.r) - DOT_TOL <= edge @ p0 < np.cos(c.r)
-        probes = np.vstack([default_probes(6), edge])
-        _, tr = generate(cfg(probes=probes, **kw))
-        for pi in range(7):
-            near = (iso_pos @ probes[pi] >= np.cos(c.r) - DOT_TOL).any()
-            assert tr.isolated_in_cap[pi] == near
-        assert tr.isolated_in_cap[6]
+    @pytest.mark.parametrize("model", ["base", "hybrid", "selfloop"])
+    @pytest.mark.parametrize("r", [np.log(1500) / np.sqrt(1500), 0.3, np.pi, 0.005])
+    def test_matches_trace_scan(self, model, r):
+        c = cfg(model=model, n=1500, m=3, r=r, seed=5, probes=default_probes(6),
+                checkpoint_times=(1, 500, 751, 1500))
+        g, tr = generate(c)
+        # vertex 0 is always an isolated birth; below pi later ones are too
+        assert g.isolated_birth[1:].any() == (r < np.pi)
+        occ, mass = trace_scan(g, c.probes, c.r, c.delta, tr.times)
+        np.testing.assert_array_equal(tr.occupancy, occ)
+        np.testing.assert_array_equal(tr.attach_mass, mass)
 
     def test_trace_csv(self, tmp_path):
         c = cfg(model="base", n=30, m=2, xi=1.0, r=0.9, seed=1,
