@@ -151,18 +151,17 @@ def _symmetric_csr(src, dst, n: int) -> CSR:
     return CSR(indptr, indices, data)
 
 
-def _hop_distances(indptr, indices, sources, inside=None) -> np.ndarray:
+def _hop_distances(indptr, indices, sources) -> np.ndarray:
     """Hop distance from the nearest source to every vertex, -1 where unreached.
 
-    indptr/indices are a symmetric CSR adjacency.  With a boolean mask
-    inside, the walk enters only vertices where it is True (the sources
-    are taken as given).  One level gathers the frontier's rows at once.
+    indptr/indices are a symmetric CSR adjacency.  One level gathers the
+    frontier's rows at once.
     """
     n = indptr.size - 1
     dist = np.full(n, -1, dtype=np.int64)
     frontier = np.asarray(sources, dtype=np.int64)
     dist[frontier] = 0
-    blocked = np.zeros(n, dtype=bool) if inside is None else ~inside
+    blocked = np.zeros(n, dtype=bool)
     blocked[frontier] = True
     level = 0
     while frontier.size:
@@ -351,20 +350,29 @@ class EvolvingGraph:
         """Boundary edge count of the distinct vertex ids and, unless
         connectivity is False, whether they induce a connected subgraph.
 
-        The boundary comes from one gather of the ids' adjacency rows, the
-        connectivity from a BFS from the first id that stays inside them.
+        The boundary comes from one gather of the ids' adjacency rows.  For
+        the connectivity, the same entries in local ids (1 + the index into
+        ids, or 0 for a vertex outside them, whose row is empty) form the
+        induced subgraph's CSR, and a BFS on it from the first id does no
+        n-long work per level.  A boundary alone reads the rows through an
+        n-long mask, which costs less to make than the n-long local ids.
         """
         if connectivity and ids.size == 0:
             raise ValueError("connectivity undefined for empty S")
         csr = self.adjacency_csr
-        mask = np.zeros(self.n, dtype=bool)
-        mask[ids] = True
-        pos = _spans(csr.indptr[ids], csr.indptr[ids + 1])
-        boundary = int(csr.data[pos][~mask[csr.indices[pos]]].sum())
+        first, end = csr.indptr[ids], csr.indptr[ids + 1]
+        pos = _spans(first, end)
         if not connectivity:
-            return boundary, None
-        dist = _hop_distances(csr.indptr, csr.indices, ids[:1], inside=mask)
-        return boundary, bool((dist[ids] >= 0).all())
+            inside = np.zeros(self.n, dtype=bool)
+            inside[ids] = True
+            return int(csr.data[pos][~inside[csr.indices[pos]]].sum()), None
+        local = np.zeros(self.n, dtype=csr.indices.dtype)
+        local[ids] = np.arange(1, ids.size + 1)
+        nbrs = local[csr.indices[pos]]
+        boundary = int(csr.data[pos[nbrs == 0]].sum())
+        indptr = np.zeros(ids.size + 2, dtype=np.int64)
+        np.cumsum(end - first, out=indptr[2:])
+        return boundary, bool((_hop_distances(indptr, nbrs, [1])[1:] >= 0).all())
 
     # -- derived structures --------------------------------------------------
 

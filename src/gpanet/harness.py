@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .graph import _integer, _integer_ids
-from .metrics import (DegreeHistogram, analytic_fk, community_check,
+from .metrics import (DegreeHistogram, _finite, analytic_fk, community_check,
                       concentration_report, degree_histogram, diameter,
                       expander_scan, fit_power_law_exponent, json_ready,
                       urt_stats)
@@ -254,17 +254,18 @@ def _centers(cfg: ModelConfig, k, salt: int) -> np.ndarray:
 def _communities(g, trace, cfg: ModelConfig, opts: dict, save) -> dict:
     """community_check at sampled centres; R defaults to min(2r, pi).
 
-    R must be finite and nonnegative; above pi the caps are the whole
-    sphere.  A centre whose cap has no defined conductance, such as
-    C_R(v) = V, is reported as {"center", "error"}; it counts as checked,
-    not satisfying.
+    R must be finite and nonnegative, and alpha, beta and size_cap finite;
+    above pi the caps are the whole sphere.  A centre whose cap has no
+    defined conductance, such as C_R(v) = V, is reported as {"center",
+    "error"}; it counts as checked, not satisfying.
     """
     R = float(opts.get("R", min(2.0 * cfg.r, math.pi)))
     if not (math.isfinite(R) and R >= 0.0):
         raise ValueError(f"community radius R must be finite and nonnegative, got {R}")
-    alpha = float(opts.get("alpha", 1.0))
-    beta = float(opts.get("beta", 0.25))
-    size_cap = float(opts.get("size_cap", cfg.n))
+    # checked here too: the loop reports community_check's errors per centre
+    alpha = _finite(opts.get("alpha", 1.0), "alpha")
+    beta = _finite(opts.get("beta", 0.25), "beta")
+    size_cap = _finite(opts.get("size_cap", cfg.n), "size_cap")
     reports = []
     for v in _centers(cfg, opts.get("centers", 50), 101):
         try:

@@ -389,6 +389,11 @@ class DiameterReport:
 dijkstra = None
 
 
+# lanes of each 64-source pass chosen by degree; the rest go by open neighbours
+_DEGREE_LANES = 48
+_CLOSE_CHUNK = 1 << 16
+
+
 def _diameter_bfs_all(csr, labels) -> np.ndarray:
     """Exact diameter of every connected component, indexed by label.
 
@@ -396,11 +401,23 @@ def _diameter_bfs_all(csr, labels) -> np.ndarray:
     bound lb and upper bounds ecc(w) <= ecc(v) + d(v, w) from a sweep end
     and a path midpoint v.  Bit-parallel BFS then runs 64 sources per pass
     (one bit per source lane, so a level is one gather + or-reduce over the
-    edge array), and its eccentricities lower the bounds further.  Sources
-    go by decreasing degree among the vertices whose bound exceeds the
-    largest eccentricity BFS found in their component, so hubs go first and
-    rule out the most; a component is done once no bound exceeds that or
-    lb.
+    edge array), and its eccentricities lower the bounds further (Takes &
+    Kosters, CIKM 2011).  A vertex is open while its bound exceeds its
+    component's top, max(lb, largest eccentricity BFS found); a component
+    is done once none of its vertices is open.  Each pass fills two kinds
+    of lane:
+
+    - _DEGREE_LANES by decreasing degree among the vertices whose bound
+      exceeds the largest eccentricity found in their component, in open
+      components: hubs rule out the most, and each open component always
+      has such a vertex, so every pass makes progress;
+    - the rest by the most open vertices in the closed neighbourhood, among
+      vertices never run, ties to the higher degree.  Most eccentricities
+      are D - 1, so a source mostly closes its own neighbours, and the
+      hubs' neighbourhoods are often closed already.
+
+    Any choice of sources leaves the result exact; the choice only moves
+    how many passes run.
     """
     # relabel by decreasing degree: sources are then a prefix scan, the hubs'
     # rows sit together, and empty rows come last, where or-reduce reads the
@@ -434,12 +451,25 @@ def _diameter_bfs_all(csr, labels) -> np.ndarray:
 
     best = np.zeros_like(lb)
     gathered = np.zeros(indices.size + 1, dtype=np.uint64)
+    # tally[v]: open vertices among v and its neighbours.  Bounds only fall
+    # and tops only rise, so a vertex never reopens, and keeping the tally
+    # costs one pass over each row over the whole run
+    tally = np.diff(indptr).astype(np.int32) + 1
+    is_open = np.ones(labels.size, dtype=bool)
+    ran = np.zeros(labels.size, dtype=bool)
     while True:
         top = np.maximum(best, lb)
-        open_ = np.bincount(labels[bound > top[labels]], minlength=lb.size) > 0
+        now_open = bound > top[labels]
+        _close_rows(tally, indptr, indices, np.flatnonzero(is_open > now_open))
+        is_open = now_open
+        open_ = np.bincount(labels[is_open], minlength=lb.size) > 0
         if not open_.any():
             return top
-        src = np.flatnonzero((bound > best[labels]) & open_[labels])[:64]
+        src = np.flatnonzero((bound > best[labels]) & open_[labels])[:_DEGREE_LANES]
+        score = np.where(ran, 0, tally)
+        score[src] = 0
+        src = np.concatenate([src, _largest(score, 64 - _DEGREE_LANES)])
+        ran[src] = True
         lanes = np.uint64(1) << np.arange(src.size, dtype=np.uint64)
         visited = np.zeros(labels.size, dtype=np.uint64)
         visited[src] = lanes
@@ -459,6 +489,32 @@ def _diameter_bfs_all(csr, labels) -> np.ndarray:
             frontier = nxt
         np.maximum.at(best, labels[src], ecc)
         _lower_ecc_bounds(indptr, indices, bound, src, ecc)
+
+
+def _close_rows(tally, indptr, indices, v) -> None:
+    """Subtract one from tally at each vertex v and at each of its
+    neighbours, gathering the rows in chunks of at most _CLOSE_CHUNK
+    entries (or one row, if longer): the sweeps alone may close most of
+    the graph."""
+    tally[v] -= 1
+    ends = np.cumsum(indptr[v + 1] - indptr[v])
+    start = 0
+    while start < v.size:
+        done = ends[start - 1] if start else 0
+        stop = max(int(ends.searchsorted(done + _CLOSE_CHUNK, "right")), start + 1)
+        w = v[start:stop]
+        tally -= np.bincount(indices[_spans(indptr[w], indptr[w + 1])], minlength=tally.size)
+        start = stop
+
+
+def _largest(score, k) -> np.ndarray:
+    """Ids of the k largest positive entries of the nonnegative score (all
+    positive ones if fewer), ties to the lower id, in one partition."""
+    if np.count_nonzero(score) <= k:
+        return np.flatnonzero(score)
+    kth = np.partition(score, -k)[-k]
+    above = np.flatnonzero(score > kth)
+    return np.concatenate([above, np.flatnonzero(score == kth)[:k - above.size]])
 
 
 def _relabel_by_degree(csr):
@@ -519,6 +575,14 @@ def diameter(g: EvolvingGraph, mode: str = "exact") -> DiameterReport:
 # geometric neighborhoods and communities
 
 
+def _finite(x, what: str) -> float:
+    """x as a float; NaN and the infinities raise."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {x}")
+    return x
+
+
 def r_neighborhood(g: EvolvingGraph, v: int, R: float) -> np.ndarray:
     """Sorted ids of all vertices within angular distance R of vertex v."""
     v = _vertex_id(v, g.n)
@@ -547,8 +611,11 @@ def community_check(g: EvolvingGraph, v: int, R: float, alpha: float,
 
     satisfies means: induced-connected, conductance <= alpha / size**beta,
     and size <= size_cap (the caller evaluates its own polylog size bound).
-    Conductance domain errors (e.g. C_R(v) = V) propagate.
+    Conductance domain errors (e.g. C_R(v) = V) propagate, and a non-finite
+    alpha, beta or size_cap raises.
     """
+    alpha, beta, size_cap = (_finite(x, name) for x, name in (
+        (alpha, "alpha"), (beta, "beta"), (size_cap, "size_cap")))
     members = r_neighborhood(g, v, R)
     size = int(members.size)
     # the domain checks run before the cut (a cap holds its centre, so it is
@@ -560,8 +627,7 @@ def community_check(g: EvolvingGraph, v: int, R: float, alpha: float,
     ok = bool(connected and phi <= alpha / size ** beta and size <= size_cap)
     return CommunityReport(center=int(v), radius=float(R), size=size,
                            connected=connected, conductance=float(phi),
-                           alpha=float(alpha), beta=float(beta),
-                           size_cap=float(size_cap), satisfies=ok)
+                           alpha=alpha, beta=beta, size_cap=size_cap, satisfies=ok)
 
 
 def long_degree_sum(g: EvolvingGraph, v: int, R: float) -> int:
@@ -751,8 +817,8 @@ def expander_scan(g: EvolvingGraph, v_sample, R_list) -> ExpanderScanReport:
     if centers.min() < 0 or centers.max() >= g.n:
         raise ValueError("sampled center out of range")
     radii = tuple(float(R) for R in np.atleast_1d(R_list))
-    if any(R < 0 for R in radii):
-        raise ValueError("radii must be nonnegative")
+    if not all(math.isfinite(R) and R >= 0 for R in radii):
+        raise ValueError(f"radii must be finite and nonnegative, got {list(radii)}")
 
     loops = g.edge_src == g.edge_dst
     loop_deg = np.bincount(g.edge_src[loops], minlength=g.n) + g.flexible_loops

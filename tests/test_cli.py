@@ -184,6 +184,21 @@ class TestAnalysisCommands:
         assert code == 1
         assert "radius R must be finite" in strict_loads(out)["error"]
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--alpha", "nan"), ("--beta", "inf"), ("--size-cap", "nan"), ("--size-cap", "-inf")])
+    def test_communities_non_finite_bound_fails(self, capsys, flag, value):
+        code, out, _ = run(capsys, "communities", *GEN, f"{flag}={value}", "--json")
+        assert code == 1
+        name = flag[2:].replace("-", "_")
+        assert strict_loads(out) == {"error": f"{name} must be finite, got {float(value)}",
+                                     "command": "communities"}
+
+    @pytest.mark.parametrize("radii", ["0.3,inf", "nan"])
+    def test_expander_non_finite_radius_fails(self, capsys, radii):
+        code, out, _ = run(capsys, "expander", *GEN, f"--radii={radii}", "--json")
+        assert code == 1
+        assert "radii must be finite and nonnegative" in strict_loads(out)["error"]
+
     @pytest.mark.parametrize("command,flag,count", [
         ("expander", "--centers", "-3"), ("communities", "--centers", "-3"),
         ("generate", "--probes", "-1"), ("concentration", "--probes", "-1")])

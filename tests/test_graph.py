@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from gpanet import graph
@@ -208,16 +207,15 @@ def test_traversals_match_scipy():
             d = shortest_path(a, directed=False, unweighted=True, indices=sources).min(axis=0)
             want = np.where(np.isfinite(d), d, -1).astype(np.int64)
             assert np.array_equal(graph._hop_distances(a.indptr, a.indices, sources), want)
-            # confined to a mask: the same on the induced subgraph, whose
-            # outside vertices are unreachable
-            inside = rng.random(n) < 0.7
-            inside[sources] = True
-            keep = sp.diags(inside.astype(np.float64))
-            d = shortest_path(keep @ a @ keep, directed=False, unweighted=True,
-                              indices=sources).min(axis=0)
-            want = np.where(np.isfinite(d), d, -1).astype(np.int64)
-            got = graph._hop_distances(a.indptr, a.indices, sources, inside=inside)
-            assert np.array_equal(got, want)
+            # a set is connected when scipy finds one component in the
+            # subgraph it induces: a source's component, a random part of
+            # it, and a random part of the graph
+            own = labels == labels[sources[0]]
+            for inside in (own, own & (rng.random(n) < 0.7), rng.random(n) < 0.7):
+                inside[sources[0]] = True
+                members = np.flatnonzero(inside)
+                want = connected_components(a[members][:, members], directed=False)[0] == 1
+                assert g.induced_connected(members) == want
     # edgeless and single-vertex graphs
     for n in (1, 5):
         g = toy_graph(n, edge_src=[], edge_dst=[], edge_kind=[])

@@ -10,7 +10,7 @@ from scipy.optimize import minimize_scalar
 from scipy.sparse.csgraph import connected_components
 from scipy.special import gammaln, zeta
 
-from gpanet import graph
+from gpanet import graph, metrics
 from gpanet.graph import EdgeKind, EvolvingGraph
 from gpanet.metrics import (FLAG_ALL, FLAG_LOOP_ONLY, FLAG_OK,
                             FLAG_ZERO_VOLUME, CommunityReport,
@@ -459,6 +459,62 @@ class TestDiameter:
             rep = diameter(g)
             assert rep.diameter == n // 2 and rep.method == "bfs-all"
 
+    def test_bfs_all_pass_counts(self, monkeypatch):
+        # a wrong open-neighbour tally only costs passes, never a wrong
+        # diameter, so the pass counts pin it.  Sources by degree alone ran
+        # 35 passes on the benchmark's experiment-diameter graph and 78 on
+        # the m=24 graph at r0 = ln n / sqrt n
+        passes = []
+        lower = metrics._lower_ecc_bounds
+        monkeypatch.setattr(metrics, "_lower_ecc_bounds",
+                            lambda *args: passes.append(1) or lower(*args))
+        for n, m, r, want in ((10_500, 2, 0.3, 12), (10_000, 24, math.log(1e4) / 100, 78)):
+            g, _ = generate(ModelConfig(model="hybrid", n=n, m=m, xi=1.0, r=r, seed=1))
+            passes.clear()
+            diameter(g)
+            assert len(passes) == want
+
+    def test_bfs_all_sources_across_components(self, monkeypatch):
+        # the open-neighbour lanes rank the vertices of every open component
+        # together, so one pass holds sources from several.  One graph is a
+        # forest of stars and paths, which the sweeps close, beside cycles,
+        # where every eccentricity equals the diameter; its shuffled ids
+        # interleave the components in degree order.  The base graphs at
+        # r=0.02 are thousands of components, dozens of them open
+        rng = np.random.default_rng(5)
+        src, dst, n = [], [], 0
+        for k in rng.integers(1, 40, size=25):        # stars with k leaves
+            src += [n] * k
+            dst += range(n + 1, n + 1 + k)
+            n += k + 1
+        for k in rng.integers(2, 60, size=25):        # paths of k vertices
+            src += range(n, n + k - 1)
+            dst += range(n + 1, n + k)
+            n += k
+        for k in rng.integers(3, 90, size=25):        # cycles of k vertices
+            src += range(n, n + k)
+            dst += [n + (i + 1) % k for i in range(k)]
+            n += k
+        perm = rng.permutation(n)
+        graphs = [make_graph(perm[src], perm[dst], n=n)]
+        graphs += [generate(ModelConfig(model="base", n=6000, m=3, xi=1.0, r=0.02, seed=s))[0]
+                   for s in (1, 2)]
+
+        mixed = []
+        lower = metrics._lower_ecc_bounds
+
+        def record(indptr, indices, bound, src, ecc):
+            labels = graph._components(indptr, indices)[1]
+            mixed.append(np.unique(labels[src[metrics._DEGREE_LANES:]]).size > 1)
+            lower(indptr, indices, bound, src, ecc)
+
+        monkeypatch.setattr(metrics, "_lower_ecc_bounds", record)
+        for g in graphs:
+            mixed.clear()
+            rep = diameter(g, "component-wise")
+            assert rep.component_diameters == component_diameters_scan(g.adjacency_csr)
+            assert any(mixed)
+
     def test_exact_requires_connected(self):
         g = make_graph([0, 2], [1, 3], n=4)
         with pytest.raises(ValueError):
@@ -558,6 +614,16 @@ class TestCommunityCheck:
         bare = EvolvingGraph("base", pos, [], [], [])
         with pytest.raises(ValueError, match="^conductance undefined for S = V$"):
             community_check(bare, 0, np.pi, 1.0, 0.25, 1e9)
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "size_cap"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_raise(self, name, bad):
+        # a NaN bound satisfies no centre, so it raises instead of reporting
+        g, _ = generate(ModelConfig(model="base", n=60, m=2, xi=1.0, r=0.5, seed=1))
+        params = {"alpha": 1.0, "beta": 0.25, "size_cap": 1e9, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            community_check(g, 0, 0.5, **params)
+        assert getattr(community_check(g, 0, 0.5, **{**params, name: 2}), name) == 2.0
 
     def test_whole_graph_cap_skips_the_connectivity_pass(self, monkeypatch):
         g, _ = generate(ModelConfig(model="base", n=30, m=2, xi=1.0, r=1.0,
@@ -888,6 +954,13 @@ class TestExpanderScan:
         finite = rep.conductance[0][np.isfinite(rep.conductance[0])]
         assert rep.min_phi[0] == pytest.approx(finite.min())
         assert rep.median_phi[0] == pytest.approx(np.median(finite))
+
+    def test_non_finite_radii_raise(self):
+        # an infinite radius was clamped to pi and flagged all-vertices
+        g = self.build_clustered()
+        for bad in ([0.3, np.inf], [np.nan], [-np.inf], [-0.1]):
+            with pytest.raises(ValueError, match="^radii must be finite and nonnegative"):
+                expander_scan(g, [0, 3], bad)
 
     def test_fractional_centres_rejected(self):
         g = self.build_clustered()
