@@ -3,7 +3,8 @@
 Subcommands: params, generate, degrees, diameter, communities, expander,
 concentration, experiment.  Analyses print a JSON payload to stdout;
 `generate` prints the edge list as CSV unless --out names a directory.
-GPANET_OUT supplies a default output directory when --out is omitted.
+GPANET_OUT supplies a default output directory when --out is omitted, for
+every subcommand but `experiment`, whose --out overrides the spec's out_dir.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ def _float_list(text: str) -> list[float] | None:
     return [float(x) for x in text.split(",")] if text else None
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=None,
-                   help="output directory (default: $GPANET_OUT if set)")
+def _add_common(p: argparse.ArgumentParser,
+                out_help: str = "output directory (default: $GPANET_OUT if set)") -> None:
+    p.add_argument("--out", default=None, help=out_help)
     p.add_argument("--json", action="store_true",
                    help="machine-readable output, including errors")
 
@@ -106,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run an ExperimentSpec JSON file")
     p.add_argument("--spec", required=True)
-    _add_common(p)
+    _add_common(p, "output directory, overriding the spec's out_dir")
     return top
 
 

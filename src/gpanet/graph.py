@@ -287,10 +287,9 @@ class EvolvingGraph:
         Kinds: total (= with-flexible), plain (= local), long, non-flexible
         (plain + long), flexible (flexible edges + remaining flexible loops).
         """
-        try:
-            canon = _KIND_ALIASES[kind.lower()]
-        except KeyError:
-            raise ValueError(f"unknown degree kind {kind!r}") from None
+        canon = _KIND_ALIASES.get(kind.lower() if isinstance(kind, str) else None)
+        if canon is None:
+            raise ValueError(f"unknown degree kind {kind!r}")
         if canon == "non-flexible":
             arr = self.plain_degree + self.long_degree
         elif canon == "flexible":

@@ -134,6 +134,8 @@ class ExperimentSpec:
             raise ValueError("seeds must be distinct")
         if not self.analyses:
             raise ValueError("need at least one analysis")
+        if len(set(self.analyses)) != len(self.analyses):
+            raise ValueError("analyses must be distinct")
         unknown = [a for a in self.analyses if a not in ANALYSES]
         if unknown:
             raise ValueError(f"unknown analyses {unknown}; "

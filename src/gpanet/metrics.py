@@ -385,7 +385,7 @@ class DiameterReport:
 
 
 # perfbench/spans.py wraps this name under --trace 1; nothing calls it since
-# the diameter's sweeps run on the CSR arrays (ROADMAP item 2 removes both)
+# the diameter's sweeps run on the CSR arrays (ROADMAP item 5 removes both)
 dijkstra = None
 
 

@@ -4,7 +4,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, shortest_path
 
-from gpanet.capindex import DOT_TOL
+from gpanet.capindex import DOT_TOL, CapIndex
+from gpanet.graph import EdgeKind
+from gpanet.models import _auto_cell
+from gpanet.sphere import sample_uniform
 
 
 def scipy_csr(csr):
@@ -159,3 +162,56 @@ def trace_scan(g, probes, r, delta, times):
             occ[ti, pi] = len(members)
             mass[ti, pi] = ends + delta * len(members)
     return occ, mass
+
+
+def generate_scan(cfg):
+    """The graph cfg names, grown newborn by newborn from the model's plain
+    definition, as (src, dst, kind, isolated_birth, flexible_loops).  The
+    reference for models.generate.
+
+    Newborn t's candidates are the earlier vertices in its closed cap, found
+    by a full scan and put in the generator's grid order, the one thing
+    taken from the code under test.  Its random numbers come from one
+    Generator call per draw: rng.random(m) unless the cap is empty, then
+    rng.integers(0, t) (hybrid) or rng.integers(0, holders) (selfloop).
+    Each contact is the first candidate whose running sum of delta + plain
+    degree, over the edges so far with a loop counting once, exceeds
+    floor(u * total); an empty cap gives 2m loops instead.
+    """
+    n, m, delta, r = cfg.n, cfg.m, cfg.delta, cfg.r
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    pos = sample_uniform(rng, n).reshape(n, 3)
+    rank = np.empty(n, dtype=np.int64)
+    rank[CapIndex(pos, _auto_cell(r, n))._order] = np.arange(n)
+    plain = np.zeros(n, dtype=np.int64)
+    floops = np.zeros(n, dtype=np.int64)
+    isolated = np.zeros(n, dtype=bool)
+    holders, edges = [], []
+    for t in range(n):
+        cand = cap_members_scan(pos[:t], np.arange(t), pos[t], r)
+        cand = cand[np.argsort(rank[cand])]
+        if cand.size:
+            cum = (plain[cand] + delta).cumsum()
+            got = cand[np.searchsorted(cum, np.floor(rng.random(m) * cum[-1]), "right")]
+            np.add.at(plain, got, 1)
+            plain[t] += m
+        else:
+            isolated[t] = True
+            got = np.full(2 * m, t)
+            plain[t] += 2 * m
+        edges += [(t, int(c), EdgeKind.PLAIN) for c in got]
+        if cfg.model == "hybrid" and t > 0:
+            edges.append((t, int(rng.integers(0, t)), EdgeKind.LONG))
+        elif cfg.model == "selfloop":
+            floops[t] = delta - (t > 0)
+            if t > 0:
+                j = int(rng.integers(0, len(holders)))
+                z = holders[j]
+                edges.append((t, z, EdgeKind.FLEXIBLE))
+                floops[z] -= 1
+                if floops[z] == 0:
+                    holders[j] = holders[-1]
+                    holders.pop()
+            holders.append(t)
+    src, dst, kind = (np.array(col, dtype=np.int64) for col in zip(*edges))
+    return src, dst, kind.astype(np.int8), isolated, floops

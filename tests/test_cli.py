@@ -225,6 +225,22 @@ class TestExperimentCommand:
         assert (out_dir / "index.json").exists()
         assert (out_dir / "degrees_summary.json").exists()
 
+    def test_out_overrides_out_dir_and_env_is_not_read(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("GPANET_OUT", str(tmp_path / "env"))
+        cfg = ModelConfig(model="base", n=100, m=2, xi=1.0, r=0.6, seed=0)
+        spec = ExperimentSpec(cfg, (1,), ("degrees",), str(tmp_path / "spec_dir"))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec.to_json_dict()))
+        assert run(capsys, "experiment", "--spec", str(spec_path))[0] == 0
+        assert (tmp_path / "spec_dir" / "index.json").exists()
+        argv = ["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "flag")]
+        assert run(capsys, *argv)[0] == 0
+        assert (tmp_path / "flag" / "index.json").exists()
+        assert not (tmp_path / "env").exists()
+        code, out, _ = run(capsys, "experiment", "--help")
+        assert code == 0
+        assert "overriding the spec's out_dir" in out and "GPANET_OUT" not in out
+
     def test_analysis_error_exits_1_after_writing(self, capsys, tmp_path):
         # concentration needs checkpoints; the failure is recorded, every
         # other output is still written, and the exit status reports it

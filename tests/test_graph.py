@@ -53,6 +53,9 @@ def test_degree_kind_aliases():
     assert g.degree(3, kind="flexible") == 1
     with pytest.raises(ValueError):
         g.degree(0, kind="bogus")
+    for kind in (3, None, b"total"):
+        with pytest.raises(ValueError, match=f"^unknown degree kind {kind!r}$"):
+            g.degree(0, kind=kind)
 
 
 def test_vertex_record_fields(tmp_path):

@@ -111,6 +111,11 @@ class TestExperimentSpec:
             ExperimentSpec(cfg, (1,), ("degrees",), "out",
                            options={"entropy": {}})
 
+    def test_duplicate_analyses_rejected(self):
+        # each analysis would be run, listed and pooled twice
+        with pytest.raises(ValueError, match="^analyses must be distinct$"):
+            ExperimentSpec(tiny_config(), (1,), ("degrees", "diameter", "degrees"), "out")
+
     def test_option_keys_checked(self):
         # a misspelt key used to be ignored, fitting at k_min = m
         with pytest.raises(ValueError, match=r"unknown degrees options \['kmin'\]"):
@@ -259,6 +264,13 @@ class TestRunExperiment:
         run_experiment(spec)
         payload = json.loads((tmp_path / "degrees_seed7.json").read_text())
         assert payload["kind"] == "plain"
+
+    def test_non_string_degree_kind_recorded(self, tmp_path):
+        spec = ExperimentSpec(tiny_config(), (7,), ("degrees",), str(tmp_path),
+                              options={"degrees": {"kind": 3}})
+        index = run_experiment(spec)
+        assert [(e["type"], e["error"]) for e in index["errors"]] == [
+            ("ValueError", "unknown degree kind 3")]
 
     def test_failed_fit_recorded(self, tmp_path):
         # a fit threshold that strands the tail is caught per artifact

@@ -15,7 +15,8 @@ from gpanet.models import (DEFAULT_PROBE_SEED, GenerationTrace, ModelConfig, _au
                            _draw, _layers, _pick, _Stream, default_probes, generate)
 from gpanet.sphere import angular_distance, from_angles, sample_uniform
 
-from oracles import cap_members_scan, component_diameters_scan, layers_scan, trace_scan
+from oracles import (cap_members_scan, component_diameters_scan, generate_scan, layers_scan,
+                     trace_scan)
 
 
 def cfg(model="base", n=50, m=2, xi=1.0, r=np.pi, seed=7, **kw):
@@ -418,6 +419,34 @@ class TestLayeredDraws:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         for name in ("occupancy", "attach_mass"):
             assert getattr(t1, name).tobytes() == getattr(t2, name).tobytes(), name
+
+
+# a cap radius: the natural r0 = ln n / sqrt n, the whole sphere, radii at
+# which most births are isolated, or any in between
+RADIUS = st.one_of(st.just("r0"), st.just(np.pi), st.sampled_from([0.001, 0.005]),
+                   st.floats(0.01, 1.0))
+
+
+class TestGenerateScan:
+    """generate grows, byte for byte, the graph that oracles.generate_scan
+    grows newborn by newborn from the model's plain definition."""
+
+    @given(st.sampled_from(["base", "hybrid", "selfloop"]), st.integers(1, 2000),
+           st.integers(1, 8), st.integers(0, 3), RADIUS, st.integers(0, 2 ** 64 - 1))
+    @example("hybrid", 2000, 8, 0, "r0", 1)      # most blocks draw layer by layer
+    @example("selfloop", 700, 2, 0, np.pi, 2)    # blocks of a few newborns
+    @example("base", 2000, 3, 1, 0.005, 3)       # mostly isolated births
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_newborn_definition(self, model, n, m, extra, r, seed):
+        if r == "r0":
+            r = np.log(max(n, 2)) / np.sqrt(max(n, 2))
+        delta = 2 + extra if model == "selfloop" else 1 + extra
+        c = cfg(model=model, n=n, m=m, xi=delta / m, r=r, seed=seed, delta=delta)
+        g, _ = generate(c)
+        for name, w in zip(("edge_src", "edge_dst", "edge_kind", "isolated_birth",
+                            "flexible_loops"), generate_scan(c)):
+            got = getattr(g, name)
+            assert got.dtype == w.dtype and got.tobytes() == w.tobytes(), name
 
 
 # a newborn of a block: whether it takes m uniforms, then integers(0, bound)
