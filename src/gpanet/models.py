@@ -14,8 +14,9 @@ of a whole block.  The random numbers are those of the Generator calls in
 birth order: each newborn's rng.random(m) (none after an isolated birth),
 then rng.integers(0, b) for the far end of its long or flexible edge.
 _Stream takes a block's share of that stream with one raw-word draw and
-derives from the words what the calls would return (see _Stream), so
-the graphs stay those of per-call draws.  The hybrid model's bounds are
+derives from the words what the calls would return, finding an integer
+call's 32-bit half by counting the halves taken before it (see _Stream),
+so the graphs stay those of per-call draws.  The hybrid model's bounds are
 known in advance (b = t) and its far ends are derived in one step; the
 self-loop model's bound is the data-dependent holder count, so its holder
 loop runs newborn by newborn over the block's precomputed numbers.  The
@@ -216,81 +217,57 @@ class _Stream:
     rng.integers(0, b) with 2 <= b < 2**32 (integers(0, 1) takes nothing and
     gives 0, so it is no call here).  numpy's PCG64 serves them from 64-bit
     words (O'Neill, PCG, 2014): a uniform is (word >> 11) * 2**-53, and an
-    integer call takes a 32-bit half h, the low half of a fresh word or, at
-    the next integer call, that word's buffered high half; the buffer carries
-    across blocks and starts from the bit generator's.  The integer is
-    (h * b) >> 32, unless (h * b) mod 2**32 < (2**32 - b) mod b, when the
-    call rejects h and takes the next half (Lemire, Fast Random Integer
-    Generation in an Interval, ACM TOMACS 2019).
+    integer is (h * b) >> 32 for the first 32-bit half h the call takes
+    with (h * b) mod 2**32 >= (2**32 - b) mod b (Lemire, Fast Random
+    Integer Generation in an Interval, ACM TOMACS 2019).
 
-    block() lays out a block as if no half rejects and draws its words; a
-    rejection lays out the rest of the block again from the word after the
-    rejected half.  A retry only adds a half, so the block never draws more
-    words than the calls take.  _check_stream compares all this with a real
-    Generator.
+    A block's halves are the half buffered at its start (a placeholder if
+    none; held = 1 if there is one), then the low and the high half of each
+    fresh word.  Call j takes _tries[j] of them, 1 + its rejections, so its
+    half is halves[cumsum(_tries)[j] - held] and (that index + 1) // 2 fresh
+    words are drawn by its end.  Each newborn steps over its uniforms, then
+    the fresh words its call draws, and halves[sum(_tries) + 1 - held], if
+    it exists, stays buffered for the next block.  A rejection thus adds 1
+    to _tries[j] and lays the block out again.  _check_stream compares all
+    this with a real Generator.
     """
 
     def __init__(self, rng: np.random.Generator):
         self._bits = rng.bit_generator
         state = self._bits.state
-        # the buffered high half after the calls laid out so far
+        # the half buffered after the blocks laid out so far
         self._half = state["uinteger"] if state["has_uint32"] else None
 
     def block(self, drawn: np.ndarray, m: int, calls: np.ndarray) -> None:
         """Start a block whose newborn i takes m uniforms if drawn[i], then
         makes one integer call if calls[i]."""
+        owner = calls.nonzero()[0]
+        # -held, then _tries: the running sums are the calls' half indices
+        self._sums = np.ones(owner.size + 1, dtype=np.int64)
+        self._sums[0] = -(self._half is not None)
+        self._tries = self._sums[1:]
+        self._start = np.array([self._half or 0], dtype=np.uint32)
         self._m = m
-        self._take = m * drawn
-        self._calls = calls
-        self._owner = np.flatnonzero(calls)     # the newborn of each call
+        # uniform words up to each call's newborn, and in the whole block
+        upto = m * drawn.cumsum()
+        self._upto, self._uniforms = upto[owner], int(upto[-1])
         self._words = np.empty(0, dtype=np.uint64)
-        self._first = np.empty(calls.size, dtype=np.int64)   # each newborn's first word
-        # per call: its half, the word after its uniforms, and whether it
-        # takes that word's low half (else the buffered one)
-        self._halves = np.empty(self._owner.size, dtype=np.uint64)
-        self._at = np.empty(self._owner.size, dtype=np.int64)
-        self._fresh = np.empty(self._owner.size, dtype=bool)
-        self._lay(0, 0, 0, self._half, False)
+        self._lay()
 
-    def _lay(self, i, j, pos, half, retry):
-        """Lay out newborns i onwards from word pos with the buffered half
-        `half`, newborn i's call being call j; on a retry, newborn i's
-        uniforms and rejected halves are taken already."""
-        take = self._take[i:]
-        if retry:
-            take = take.copy()
-            take[0] = 0
-        calls = self._calls[i:]
-        # a call takes a fresh word when no half is buffered, so every other one
-        k = calls.cumsum() - calls
-        fresh = calls & ((k + (half is not None)) % 2 == 0)
-        step = take + fresh
-        first = pos + step.cumsum() - step
-        end = int(first[-1] + step[-1])
-        if end > self._words.size:
-            self._words = np.concatenate([self._words, self._bits.random_raw(end - self._words.size)])
-        self._first[i + retry:] = first[retry:]
-        own = self._owner[j:] - i
-        at = self._at[j:] = first[own] + take[own]
-        f = self._fresh[j:] = fresh[own]
-        h = self._halves[j:]
-        if h.size:
-            fi = np.flatnonzero(f)
-            word = self._words[at[fi]]
-            h[fi] = word & _M32
-            # the call after a fresh one takes its high half
-            nxt = fi + 1
-            h[nxt[nxt < h.size]] = word[nxt < h.size] >> 32
-            if half is not None:
-                h[0] = half
-            half = int(word[-1] >> 32) if f[-1] else None
-        self._half = half
-
-    def _reject(self, j: int) -> None:
-        """Call j rejected its half: lay out the rest again from its retry."""
-        at, fresh = int(self._at[j]), bool(self._fresh[j])
-        half = int(self._words[at] >> 32) if fresh else None
-        self._lay(int(self._owner[j]), j, at + fresh, half, True)
+    def _lay(self) -> None:
+        at = self._sums.cumsum()
+        # fresh words drawn by the end of each call, led by 0
+        drew = (at + 1) >> 1
+        more = self._uniforms + int(drew[-1]) - self._words.size
+        if more > 0:
+            self._words = np.concatenate([self._words, self._bits.random_raw(more)])
+        # fresh word k: after the uniforms up to its call's newborn and k fresh words
+        word = self._word = self._upto.repeat(drew[1:] - drew[:-1]) + np.arange(drew[-1])
+        fresh = self._words[word].astype("<u8", copy=False)
+        halves = np.concatenate([self._start, fresh.view("<u4")])
+        self._halves = halves[at[1:]]
+        left = int(at[-1]) + 1
+        self._half = int(halves[left]) if left < halves.size else None
 
     def integers(self, bound: np.ndarray) -> np.ndarray:
         """integers(0, bound[j]) for every call j of the block."""
@@ -299,11 +276,12 @@ class _Stream:
         j = 0
         while True:
             x = self._halves * bound
-            bad = np.flatnonzero((x[j:] & _M32) < threshold[j:])
+            bad = ((x[j:] & _M32) < threshold[j:]).nonzero()[0]
             if not bad.size:
                 return (x >> 32).astype(np.int64)
             j += int(bad[0])
-            self._reject(j)
+            self._tries[j] += 1
+            self._lay()
 
     def integer(self, j: int, bound: int) -> int:
         """integers(0, bound) for call j, with bound known only now."""
@@ -313,12 +291,14 @@ class _Stream:
             x = int(self._halves[j]) * bound
             if x & _M32 >= (2 ** 32 - bound) % bound:
                 return x >> 32
-            self._reject(j)
+            self._tries[j] += 1
+            self._lay()
 
     def uniforms(self) -> np.ndarray:
         """The block's uniforms, one row of m per newborn that takes them."""
-        first = self._first[self._take > 0]
-        return (self._words[first[:, None] + np.arange(self._m)] >> 11) * 2.0 ** -53
+        uniform = np.ones(self._words.size, dtype=bool)
+        uniform[self._word] = False
+        return (self._words[uniform].reshape(-1, self._m) >> 11) * 2.0 ** -53
 
 
 @functools.cache

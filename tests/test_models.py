@@ -436,7 +436,7 @@ class TestGenerateScan:
     @example("hybrid", 2000, 8, 0, "r0", 1)      # most blocks draw layer by layer
     @example("selfloop", 700, 2, 0, np.pi, 2)    # blocks of a few newborns
     @example("base", 2000, 3, 1, 0.005, 3)       # mostly isolated births
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=600, deadline=None)
     def test_matches_per_newborn_definition(self, model, n, m, extra, r, seed):
         if r == "r0":
             r = np.log(max(n, 2)) / np.sqrt(max(n, 2))
@@ -520,19 +520,26 @@ class TestStream:
 
     def test_self_check_covers_its_cases(self, monkeypatch):
         starts, rejected = [], set()
-        block, reject = _Stream.block, _Stream._reject
+        block, lay = _Stream.block, _Stream._lay
 
         def spy_block(self, drawn, m, calls):
             starts.append(self._half is not None)
             block(self, drawn, m, calls)
 
-        def spy_reject(self, j):
-            # which entry point rejected, and whether the half was a fresh low half
-            rejected.add((sys._getframe(1).f_code.co_name, bool(self._fresh[j])))
-            reject(self, j)
+        def spy_lay(self):
+            caller = sys._getframe(1).f_code.co_name
+            if caller != "block":
+                # a rejection added 1 to call j's tries, and the half it
+                # rejected is the one before its new half: a fresh word's low
+                # half at an odd index into the block's halves, else a
+                # buffered half
+                j = int(np.flatnonzero(self._tries != self.laid)[0])
+                rejected.add((caller, (self._sums[:j + 2].sum() - 1) % 2 == 1))
+            lay(self)
+            self.laid = self._tries.copy()
 
         monkeypatch.setattr(_Stream, "block", spy_block)
-        monkeypatch.setattr(_Stream, "_reject", spy_reject)
+        monkeypatch.setattr(_Stream, "_lay", spy_lay)
         models._check_stream.__wrapped__()
         assert set(starts) == {False, True}
         assert rejected == {(f, fresh) for f in ("integer", "integers") for fresh in (False, True)}
