@@ -8,9 +8,8 @@ records; they live in a per-vertex counter, since they are removable.
 The adjacency is a CSR built in numpy (_symmetric_csr) with the arrays and
 dtypes scipy.sparse would give, so gpanet does not import scipy.  Traversals
 run on its indptr/indices arrays: _hop_distances is a level-synchronous BFS
-from a set of sources, optionally confined to a vertex mask, and _components
-labels every connected component in one pass by min-label propagation with
-pointer jumping.
+from a set of sources, and _components labels every connected component in
+one pass by min-label propagation with pointer jumping.
 """
 
 from __future__ import annotations
@@ -208,13 +207,17 @@ def _components(indptr, indices) -> tuple[int, np.ndarray]:
     return int(np.count_nonzero(roots)), (np.cumsum(roots) - 1)[label]
 
 
-def _loop_aware_degrees(src, dst, n) -> np.ndarray:
-    """Degree contribution of an edge set, with self-loops counting 1."""
-    deg = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
-    loops = src == dst
-    if loops.any():
-        deg -= np.bincount(src[loops], minlength=n)
-    return deg
+def _kind_degrees(src, dst, kind, n) -> np.ndarray:
+    """Edge ends per EdgeKind (row) and vertex, a self-loop counting 1, from one
+    int64 key per edge: kind * n + src, then in place kind * n + dst."""
+    key = np.multiply(kind, n, dtype=np.int64)
+    key += src
+    deg = np.bincount(key, minlength=3 * n)
+    deg -= np.bincount(key[src == dst], minlength=3 * n)
+    key -= src
+    key += dst
+    deg += np.bincount(key, minlength=3 * n)
+    return deg.reshape(3, n)
 
 
 class EvolvingGraph:
@@ -242,7 +245,7 @@ class EvolvingGraph:
             hi = max(self.edge_src.max(), self.edge_dst.max())
             if lo < 0 or hi >= n:
                 raise ValueError("edge endpoint out of range")
-            if not np.isin(self.edge_kind, list(EdgeKind)).all():
+            if self.edge_kind.min() < EdgeKind.PLAIN or self.edge_kind.max() > EdgeKind.FLEXIBLE:
                 raise ValueError("unknown edge kind")
 
         if flexible_loops is None:
@@ -258,15 +261,9 @@ class EvolvingGraph:
 
         # degree tallies are always recomputed from the edge list; generators
         # cross-check their running counters against these
-        kinds = self.edge_kind
-        self.plain_degree = _loop_aware_degrees(
-            self.edge_src[kinds == EdgeKind.PLAIN], self.edge_dst[kinds == EdgeKind.PLAIN], n)
-        self.long_degree = _loop_aware_degrees(
-            self.edge_src[kinds == EdgeKind.LONG], self.edge_dst[kinds == EdgeKind.LONG], n)
-        self.flexible_edge_degree = _loop_aware_degrees(
-            self.edge_src[kinds == EdgeKind.FLEXIBLE], self.edge_dst[kinds == EdgeKind.FLEXIBLE], n)
-        self.total_degree = (self.plain_degree + self.long_degree
-                             + self.flexible_edge_degree + self.flexible_loops)
+        deg = _kind_degrees(self.edge_src, self.edge_dst, self.edge_kind, n)
+        self.plain_degree, self.long_degree, self.flexible_edge_degree = deg
+        self.total_degree = deg.sum(axis=0) + self.flexible_loops
         self._total_volume = int(self.total_degree.sum())
         self._csr = None
         self._cap_index = None

@@ -560,6 +560,8 @@ def diameter(g: EvolvingGraph, mode: str = "exact") -> DiameterReport:
     """
     if mode not in ("exact", "component-wise"):
         raise ValueError(f"unknown mode {mode!r}")
+    if g.n == 0:
+        raise ValueError("diameter undefined for a graph with no vertices")
     adj = g.adjacency_csr
     ncomp, labels = _components(adj.indptr, adj.indices)
     if mode == "exact" and ncomp > 1:
@@ -654,9 +656,9 @@ def urt_stats(g: EvolvingGraph) -> TreeStats:
     tree (wrong model, cycles, or disconnection).
     """
     if g.model == "hybrid":
-        kind = EdgeKind.LONG
+        kind, deg = EdgeKind.LONG, g.long_degree
     elif g.model == "selfloop":
-        kind = EdgeKind.FLEXIBLE
+        kind, deg = EdgeKind.FLEXIBLE, g.flexible_edge_degree
     else:
         raise ValueError(f"model {g.model!r} has no tree-edge kind")
     sel = g.edge_kind == kind
@@ -673,7 +675,6 @@ def urt_stats(g: EvolvingGraph) -> TreeStats:
         raise ValueError(f"tree edges split into {ncomp} components; not a spanning tree")
     # n-1 edges + connected => a tree; its diameter falls out of two sweeps
     diam = int(_hop_distances(adj.indptr, adj.indices, [int(np.argmax(d_0))]).max())
-    deg = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
     return TreeStats(diameter=diam, max_degree=int(deg.max()))
 
 

@@ -50,8 +50,8 @@ import numpy.random  # noqa: F401
 
 from .capindex import CapIndex, _spans
 from .graph import MODEL_NAMES as MODELS
-from .graph import (EdgeKind, EvolvingGraph, _integer, _integer_ids,
-                    _loop_aware_degrees, _write_csv)
+from .graph import (EdgeKind, EvolvingGraph, _integer, _integer_ids, _kind_degrees,
+                    _write_csv)
 from .sphere import _check_radius, from_angles, sample_uniform, to_angles, unit_rows
 
 # fixed probe placement stream, independent of the run seed so that traces
@@ -445,19 +445,21 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
 
     while lo < n:
         hi = min(lo + block, n)
-        cands, at = caps.members(pos[lo:hi], r, np.arange(lo, hi))
+        ids = np.arange(lo, hi)
+        cands, at = caps.members(pos[lo:hi], r, ids)
         # rows per newborn, read at the block's middle, scaled to hi as if in
         # proportion to t; at most _BLOCK_ROWS newborns bounds the uniforms
         block = min(2 * block, _BLOCK_ROWS,
                     max(1, _BLOCK_ROWS * (hi - lo) * (lo + hi) // (2 * hi * max(cands.size, 1))))
         iso = isolated[lo:hi] = at[1:] == at[:-1]
+        drew = ~iso
         # an isolated birth's m loops more, booked before the block's draws
         weight[lo:hi] += m * iso
 
         # the block's random stream: newborn t >= 2 of a hybrid or self-loop
         # graph makes an integer call; at t = 1 the bound is 1, which takes
         # nothing and gives 0
-        stream.block(~iso, m, (model != "base") & (np.arange(lo, hi) >= 2))
+        stream.block(drew, m, (model != "base") & (ids >= 2))
         first = max(lo, 2)
         if model == "hybrid" and first < hi:
             partner[first:hi] = stream.integers(np.arange(first, hi))
@@ -481,7 +483,7 @@ def generate(cfg: ModelConfig) -> tuple[EvolvingGraph, GenerationTrace]:
                 holders[hcount] = t
                 hcount += 1
         # row j of u holds the uniforms of newborn lo + drawers[j]
-        drawers = np.flatnonzero(~iso)
+        drawers = drew.nonzero()[0]
         u = stream.uniforms()
         if hi - lo >= _LAYER_MIN:
             contacts[lo + drawers] = _draw_layered(cands, at, drawers, u, weight)
@@ -534,8 +536,8 @@ def _trace(g: EvolvingGraph, caps: CapIndex, cfg: ModelConfig) -> GenerationTrac
     lo = 0
     for row, t in enumerate(times.tolist() if occ.size else ()):
         hi = int(g.edge_src.searchsorted(t))
-        keep = g.edge_kind[lo:hi] == EdgeKind.PLAIN
-        plain += _loop_aware_degrees(g.edge_src[lo:hi][keep], g.edge_dst[lo:hi][keep], g.n)
+        plain += _kind_degrees(g.edge_src[lo:hi], g.edge_dst[lo:hi], g.edge_kind[lo:hi],
+                               g.n)[EdgeKind.PLAIN]
         lo = hi
         members, mptr = caps.members(cfg.probes, cfg.r, t)
         occ[row] = np.diff(mptr)

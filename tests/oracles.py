@@ -46,6 +46,18 @@ def volume_scan(g, S):
     return total
 
 
+def kind_degrees_scan(src, dst, kind, n):
+    """Edge ends per edge kind (row) and vertex, counted one edge at a time,
+    a self-loop counting 1.  The reference for graph._kind_degrees."""
+    deg = np.zeros((3, n), dtype=np.int64)
+    for s, d, k in zip(np.asarray(src).tolist(), np.asarray(dst).tolist(),
+                       np.asarray(kind).tolist()):
+        deg[k, s] += 1
+        if d != s:
+            deg[k, d] += 1
+    return deg
+
+
 def boundary_scan(g, S):
     S = set(int(v) for v in np.atleast_1d(np.asarray(S)).tolist())
     count = 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from gpanet import graph
@@ -8,8 +10,8 @@ from gpanet.metrics import DegreeHistogram
 from gpanet.models import GenerationTrace, ModelConfig, generate
 from gpanet.sphere import sample_uniform
 
-from oracles import (boundary_scan, conductance_scan, connected_scan, scipy_adjacency,
-                     scipy_csr, volume_scan)
+from oracles import (boundary_scan, conductance_scan, connected_scan, kind_degrees_scan,
+                     scipy_adjacency, scipy_csr, volume_scan)
 
 
 def toy_graph(n=6, seed=3, model="base", **kw):
@@ -56,6 +58,41 @@ def test_degree_kind_aliases():
     for kind in (3, None, b"total"):
         with pytest.raises(ValueError, match=f"^unknown degree kind {kind!r}$"):
             g.degree(0, kind=kind)
+
+
+@st.composite
+def _kinded_multigraphs(draw):
+    """(n, src, dst, kind, flexible_loops): up to 30 vertices, any edges of
+    every kind plus extra self-loops and parallel copies, in a drawn order."""
+    n = draw(st.integers(0, 30))
+    if n == 0:
+        return 0, [], [], [], []
+    v, k = st.integers(0, n - 1), st.sampled_from(list(EdgeKind))
+    edges = draw(st.lists(st.tuples(v, v, k), max_size=60))
+    edges += [(u, u, kk) for u, kk in draw(st.lists(st.tuples(v, k), max_size=10))]
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=10))
+    edges = draw(st.permutations(edges))
+    src, dst, kind = (list(c) for c in zip(*edges)) if edges else ([], [], [])
+    return n, src, dst, kind, draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+
+
+@given(_kinded_multigraphs(), st.sampled_from(graph.MODEL_NAMES))
+@settings(max_examples=300, deadline=None)
+def test_degrees_by_kind_match_scan(case, model):
+    n, src, dst, kind, floops = case
+    g = toy_graph(n, model=model, edge_src=np.array(src, dtype=np.int64),
+                  edge_dst=np.array(dst, dtype=np.int64), edge_kind=np.array(kind, dtype=np.int8),
+                  flexible_loops=np.array(floops, dtype=np.int64))
+    plain, long, flexible = kind_degrees_scan(src, dst, kind, n)
+    floops = np.array(floops, dtype=np.int64)
+    want = {"plain": plain, "long": long, "non-flexible": plain + long,
+            "flexible": flexible + floops, "total": plain + long + flexible + floops}
+    for got, ref in ((g.plain_degree, plain), (g.long_degree, long),
+                     (g.flexible_edge_degree, flexible), (g.total_degree, want["total"])):
+        assert got.dtype == np.int64 and np.array_equal(got, ref)
+    for alias, canon in graph._KIND_ALIASES.items():
+        assert np.array_equal(g.degree(None, alias), want[canon]), alias
 
 
 def test_vertex_record_fields(tmp_path):
@@ -262,14 +299,16 @@ def test_validation_errors():
         EvolvingGraph(model="nope", positions=pos, **ok)
     with pytest.raises(ValueError):
         EvolvingGraph(model="base", positions=pos * 2.0, **ok)
-    with pytest.raises(ValueError):
-        EvolvingGraph(model="base", positions=pos,
-                      edge_src=np.array([0]), edge_dst=np.array([5]),
-                      edge_kind=np.int8([0]))
-    with pytest.raises(ValueError):
-        EvolvingGraph(model="base", positions=pos,
-                      edge_src=np.array([0]), edge_dst=np.array([1]),
-                      edge_kind=np.int8([7]))
+    # checked before the degree count, where a bad endpoint or kind would
+    # land in another kind's row
+    for src, dst in (([0], [5]), ([0], [3]), ([-1], [1]), ([0, 2], [1, -1])):
+        with pytest.raises(ValueError, match="^edge endpoint out of range$"):
+            EvolvingGraph(model="base", positions=pos, edge_src=np.array(src),
+                          edge_dst=np.array(dst), edge_kind=np.int8([0] * len(src)))
+    for kind in ([7], [3], [-1], [0, 3]):
+        with pytest.raises(ValueError, match="^unknown edge kind$"):
+            EvolvingGraph(model="base", positions=pos, edge_src=np.array([0, 1][:len(kind)]),
+                          edge_dst=np.array([1, 2][:len(kind)]), edge_kind=np.int8(kind))
 
 
 def test_constructor_rejects_fractional_endpoints_and_misshapen_flags():

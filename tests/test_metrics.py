@@ -520,6 +520,13 @@ class TestDiameter:
         with pytest.raises(ValueError):
             diameter(g, "exact")
 
+    def test_no_vertices(self):
+        # used to fail inside numpy's max over an empty array
+        g = make_graph([], [], n=0)
+        for mode in ("exact", "component-wise"):
+            with pytest.raises(ValueError, match="^diameter undefined for a graph with no vertices$"):
+                diameter(g, mode)
+
     def test_component_wise(self):
         # triangle + edge + singleton
         g = make_graph([0, 1, 2, 3], [1, 2, 0, 4], n=6)

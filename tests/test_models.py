@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from gpanet import models
+from gpanet import graph, models
 from gpanet.capindex import CapIndex
 from gpanet.graph import EdgeKind, EvolvingGraph
 from gpanet.metrics import diameter
@@ -226,6 +226,22 @@ class TestDegreeTotals:
         # per vertex: total = non-flexible + flexible, flexible part conserved
         np.testing.assert_array_equal(
             g.degree(), g.degree(None, "non-flexible") + g.degree(None, "flexible"))
+
+    @pytest.mark.parametrize("model,kind", [("base", EdgeKind.PLAIN), ("hybrid", EdgeKind.PLAIN),
+                                            ("hybrid", EdgeKind.LONG),
+                                            ("selfloop", EdgeKind.FLEXIBLE)])
+    def test_tally_check_raises_on_a_recount_fault(self, monkeypatch, model, kind):
+        # the graph's recount, one edge end off, must disagree with generate's tallies
+        count = graph._kind_degrees
+
+        def off_by_one(*args):
+            deg = count(*args)
+            deg[kind, -1] += 1
+            return deg
+
+        monkeypatch.setattr(graph, "_kind_degrees", off_by_one)
+        with pytest.raises(AssertionError, match="^degree tallies disagree with edge-list recount$"):
+            generate(cfg(model=model, n=30, m=2, r=0.5, seed=3))
 
 
 class TestGeometryOfEdges:
