@@ -75,6 +75,38 @@ def conductance_scan(g, S):
     return boundary_scan(g, S) / min(vol_s, vol_c)
 
 
+def cap_flag_scan(g, S):
+    """(flag, conductance) of the vertex set S from a count of its size,
+    volume and loop volume taken one edge at a time, plus the flexible
+    loops.  The flag names the first of these that holds: S is empty, S is
+    all of V, one side has zero volume, or S's whole volume is loops (no
+    proper edge meets it); '' if none does.  The conductance is the
+    boundary over min(vol(S), vol(rest)) wherever that is defined (a
+    loop-only S reads 0), else NaN.  The reference for the flags of
+    metrics.expander_scan and the domain of EvolvingGraph.conductance."""
+    S = {int(v) for v in np.atleast_1d(np.asarray(S)).tolist()}
+    vol = loops = vol_all = 0
+    for s, d in zip(g.edge_src.tolist(), g.edge_dst.tolist()):
+        if s == d:
+            vol_all += 1
+            vol += s in S
+            loops += s in S
+        else:
+            vol_all += 2
+            vol += (s in S) + (d in S)
+    flexible = sum(int(g.flexible_loops[v]) for v in S)
+    vol, loops = vol + flexible, loops + flexible
+    vol_all += int(g.flexible_loops.sum())
+    if not S:
+        return "empty", float("nan")
+    if len(S) == g.n:
+        return "all-vertices", float("nan")
+    if vol == 0 or vol_all - vol == 0:
+        return "zero-volume", float("nan")
+    phi = boundary_scan(g, sorted(S)) / min(vol, vol_all - vol)
+    return ("loop-only" if vol == loops else ""), phi
+
+
 def connected_scan(g, S):
     """DFS over the induced subgraph."""
     S = [int(v) for v in np.atleast_1d(np.asarray(S)).tolist()]

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from gpanet.metrics import (FLAG_ALL, FLAG_LOOP_ONLY, FLAG_OK,
 from gpanet.models import GenerationTrace, ModelConfig, default_probes, generate
 from gpanet.sphere import cap_area, sample_uniform
 
-from oracles import (cap_members_scan, component_diameters_scan,
+from oracles import (cap_flag_scan, cap_members_scan, component_diameters_scan,
                      conductance_scan, connected_scan, diameter_scan, sample_zipf,
                      scipy_csr)
 
@@ -927,6 +928,31 @@ class TestConcentration:
 # expander scans
 
 
+_UNDEFINED = {"empty": "conductance undefined for empty S",
+              "all-vertices": "conductance undefined for S = V",
+              "zero-volume": "conductance undefined: zero-volume side"}
+
+
+@st.composite
+def _cap_multigraphs(draw):
+    """A hand-built graph of any model on up to 12 vertices: edges of every
+    kind, loop records of every kind, parallel copies, flexible loops and
+    edgeless vertices, at uniform positions from a drawn seed."""
+    n = draw(st.integers(1, 12))
+    v, k = st.integers(0, n - 1), st.sampled_from(list(EdgeKind))
+    edges = draw(st.lists(st.tuples(v, v, k), max_size=20))
+    edges += [(u, u, kk) for u, kk in draw(st.lists(st.tuples(v, k), max_size=6))]
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=4))
+    src, dst, kind = (list(c) for c in zip(*edges)) if edges else ([], [], [])
+    floops = draw(st.lists(st.integers(0, 3) if draw(st.booleans()) else st.just(0),
+                           min_size=n, max_size=n))
+    pos = sample_uniform(np.random.default_rng(draw(st.integers(0, 2 ** 32))), n)
+    return EvolvingGraph(draw(st.sampled_from(graph.MODEL_NAMES)), pos.reshape(n, 3),
+                         np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
+                         np.array(kind, dtype=np.int8), np.array(floops, dtype=np.int64))
+
+
 class TestExpanderScan:
     def build_clustered(self):
         # triangle near the north pole, a loop-only vertex at the south pole,
@@ -1021,6 +1047,35 @@ class TestExpanderScan:
                 assert rep.flags[ri, ci] == flag, (R, v)
         assert set(rep.flags[0]) >= {FLAG_OK, FLAG_LOOP_ONLY}
         assert (rep.flags[3:] == FLAG_ALL).all()
+
+    @given(_cap_multigraphs(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_flags_match_scan(self, g, data):
+        # the scan's flags, sizes and conductances, and conductance()'s value
+        # or exact error, against a per-set recount, on caps at radius 0,
+        # mid-range and past pi, and on any vertex set
+        centers = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=6))
+        radii = data.draw(st.lists(st.one_of(st.sampled_from([0.0, np.pi, 4.0]),
+                                             st.floats(0.0, 4.0)), min_size=1, max_size=4))
+        rep = expander_scan(g, centers, radii)
+        for ri, R in enumerate(radii):
+            for ci, v in enumerate(centers):
+                members = r_neighborhood(g, v, R)
+                flag, phi = cap_flag_scan(g, members)
+                assert (rep.flags[ri, ci], rep.sizes[ri, ci]) == (flag, members.size), (R, v)
+                if flag == FLAG_OK:
+                    assert rep.conductance[ri, ci] == phi
+                else:
+                    assert np.isnan(rep.conductance[ri, ci])
+        sets = [r_neighborhood(g, v, R) for v in centers for R in radii]
+        sets += data.draw(st.lists(st.lists(st.integers(0, g.n - 1)), max_size=4))
+        for S in sets:
+            flag, phi = cap_flag_scan(g, S)
+            if flag in _UNDEFINED:
+                with pytest.raises(ValueError, match=f"^{re.escape(_UNDEFINED[flag])}$"):
+                    g.conductance(S)
+            else:
+                assert g.conductance(S) == phi
 
     def test_input_validation(self):
         g = self.build_clustered()
