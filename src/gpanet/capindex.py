@@ -32,7 +32,7 @@ _MAX_BANDS = 512
 def _spans(first: np.ndarray, end: np.ndarray, out=None) -> np.ndarray:
     """Concatenation of arange(first[i], end[i]) over i, written to out if given."""
     length = end - first
-    shift = (first + length - length.cumsum()).repeat(length)
+    shift = (end - length.cumsum()).repeat(length)
     return np.add(shift, np.arange(shift.size), out=out)
 
 

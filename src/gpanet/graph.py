@@ -207,6 +207,20 @@ def _components(indptr, indices) -> tuple[int, np.ndarray]:
     return int(np.count_nonzero(roots)), (np.cumsum(roots) - 1)[label]
 
 
+# A vertex set's conductance measures nothing if the set is, in this order,
+# empty, all of V, with a zero-volume side, or loop-only (no proper edge meets
+# it); _cap_terms flags the first that holds.  conductance raises for the
+# first three, and a loop-only set's conductance is 0.
+FLAG_OK = ""
+FLAG_EMPTY = "empty"
+FLAG_ALL = "all-vertices"
+FLAG_ZERO_VOLUME = "zero-volume"
+FLAG_LOOP_ONLY = "loop-only"
+_UNDEFINED = {FLAG_EMPTY: "conductance undefined for empty S",
+              FLAG_ALL: "conductance undefined for S = V",
+              FLAG_ZERO_VOLUME: "conductance undefined: zero-volume side"}
+
+
 def _kind_degrees(src, dst, kind, n) -> np.ndarray:
     """Edge ends per EdgeKind (row) and vertex, a self-loop counting 1, from one
     int64 key per edge: kind * n + src, then in place kind * n + dst."""
@@ -321,26 +335,44 @@ class EvolvingGraph:
 
     def conductance(self, S) -> float:
         """Boundary edge count over min(vol(S), vol(complement))."""
-        ids = self._as_ids(S)
-        denom = self._conductance_denominator(ids)
-        return self._cut(ids, connectivity=False)[0] / denom
+        return self._conductance(self._as_ids(S))[0]
 
     def induced_connected(self, S) -> bool:
         """Whether the subgraph induced by S is connected (singletons count)."""
         return self._cut(self._as_ids(S))[1]
 
-    def _conductance_denominator(self, ids) -> int:
-        """min(vol(S), vol(complement)) of the distinct vertex ids S; raises
-        where conductance is undefined."""
-        if ids.size == 0:
-            raise ValueError("conductance undefined for empty S")
-        if ids.size == self.n:
-            raise ValueError("conductance undefined for S = V")
-        vol_s = int(self.total_degree[ids].sum())
-        denom = min(vol_s, self._total_volume - vol_s)
-        if denom == 0:
-            raise ValueError("conductance undefined: zero-volume side")
-        return denom
+    def _cap_terms(self, rows, ptr) -> tuple[np.ndarray, np.ndarray]:
+        """(flags, min(vol(S), vol(complement))) of each set S of distinct
+        vertex ids rows[ptr[i]:ptr[i + 1]].  S is loop-only if its rows hold
+        no CSR entry, as the CSR drops every loop.  One reduceat sums each
+        set's degrees and entries, so a call does no n- or E-long work."""
+        sizes = ptr[1:] - ptr[:-1]
+        indptr = self.adjacency_csr.indptr
+        # per row: total degree and entries, then a 0 column at which an
+        # empty set may start
+        terms = np.zeros((2, rows.size + 1), dtype=np.int64)
+        np.take(self.total_degree, rows, out=terms[0, :-1])
+        np.subtract(indptr[rows + 1], indptr[rows], out=terms[1, :-1])
+        # reduceat gives an empty set its first row's terms, so zero them
+        vol, entries = np.add.reduceat(terms, ptr[:-1], axis=1) * (sizes > 0)
+        denom = np.minimum(vol, self._total_volume - vol)
+        flags = np.full(sizes.size, FLAG_OK, dtype=object)
+        # the later rules first, so that the earlier ones win
+        flags[entries == 0] = FLAG_LOOP_ONLY
+        flags[denom == 0] = FLAG_ZERO_VOLUME
+        flags[sizes == self.n] = FLAG_ALL
+        flags[sizes == 0] = FLAG_EMPTY
+        return flags, denom
+
+    def _conductance(self, ids, connectivity: bool = False) -> tuple[float, bool | None]:
+        """(conductance, connected) of the distinct vertex ids, connected as
+        _cut gives it.  Where the conductance is undefined this raises
+        before the cut, so a set of all of V costs no connectivity pass."""
+        flags, denom = self._cap_terms(ids, np.array([0, ids.size]))
+        if flags[0] in _UNDEFINED:
+            raise ValueError(_UNDEFINED[flags[0]])
+        boundary, connected = self._cut(ids, connectivity)
+        return boundary / int(denom[0]), connected
 
     def _cut(self, ids, connectivity: bool = True) -> tuple[int, bool | None]:
         """Boundary edge count of the distinct vertex ids and, unless

@@ -18,8 +18,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .capindex import _spans
-from .graph import (EdgeKind, EvolvingGraph, _components, _distinct, _hop_distances,
-                    _integer_ids, _symmetric_csr, _vertex_id, _write_csv)
+# the FLAG_* names are importable here too, beside the scan that reports them
+from .graph import (FLAG_ALL, FLAG_EMPTY, FLAG_LOOP_ONLY, FLAG_OK, FLAG_ZERO_VOLUME, EdgeKind,
+                    EvolvingGraph, _components, _distinct, _hop_distances, _integer_ids,
+                    _symmetric_csr, _vertex_id, _write_csv)
 from .sphere import _check_radius, cap_area
 
 
@@ -588,7 +590,8 @@ def _finite(x, what: str) -> float:
 def r_neighborhood(g: EvolvingGraph, v: int, R: float) -> np.ndarray:
     """Sorted ids of all vertices within angular distance R of vertex v."""
     v = _vertex_id(v, g.n)
-    return g.cap_index.query_cap(g.positions[v], min(float(R), np.pi))
+    # query_cap less its check of the centre: the positions are unit rows
+    return np.sort(g.cap_index.members(g.positions[v], _check_radius(min(float(R), np.pi)))[0])
 
 
 @dataclass(frozen=True)
@@ -620,12 +623,7 @@ def community_check(g: EvolvingGraph, v: int, R: float, alpha: float,
         (alpha, "alpha"), (beta, "beta"), (size_cap, "size_cap")))
     members = r_neighborhood(g, v, R)
     size = int(members.size)
-    # the domain checks run before the cut (a cap holds its centre, so it is
-    # never empty): a cap of all of V raises without a connectivity pass
-    # over the whole graph
-    denom = g._conductance_denominator(members)
-    boundary, connected = g._cut(members)
-    phi = boundary / denom
+    phi, connected = g._conductance(members, connectivity=True)
     ok = bool(connected and phi <= alpha / size ** beta and size <= size_cap)
     return CommunityReport(center=int(v), radius=float(R), size=size,
                            connected=connected, conductance=float(phi),
@@ -769,14 +767,6 @@ def concentration_report(trace, cfg, t_r: float | None = None) -> ConcentrationR
 # conductance scans over sampled centers
 
 
-# flag values for neighborhoods whose conductance measures nothing
-FLAG_OK = ""
-FLAG_ALL = "all-vertices"
-FLAG_EMPTY = "empty"
-FLAG_ZERO_VOLUME = "zero-volume"
-FLAG_LOOP_ONLY = "loop-only"
-
-
 @dataclass(frozen=True)
 class ExpanderScanReport:
     radii: tuple[float, ...]
@@ -806,11 +796,10 @@ def _median(a: np.ndarray) -> float:
 def expander_scan(g: EvolvingGraph, v_sample, R_list) -> ExpanderScanReport:
     """Conductance of C_R(v) for each sampled center and radius.
 
-    Neighborhoods whose conductance measures nothing are flagged and
-    excluded from the min/median summaries: the whole vertex set, a
-    zero-volume side, and loop-only sets whose entire volume comes from
-    self-loops (no incident proper edge exists, so the boundary is empty
-    by construction and the zero says nothing about expansion).
+    Neighborhoods whose conductance measures nothing carry the flag that
+    EvolvingGraph's rule gives them (graph.FLAG_*: all of V, a zero-volume
+    side, or loop-only, with no proper edge to cross) and are excluded from
+    the min/median summaries.
     """
     centers = _integer_ids(v_sample)
     if centers.ndim != 1 or centers.size == 0:
@@ -821,35 +810,16 @@ def expander_scan(g: EvolvingGraph, v_sample, R_list) -> ExpanderScanReport:
     if not all(math.isfinite(R) and R >= 0 for R in radii):
         raise ValueError(f"radii must be finite and nonnegative, got {list(radii)}")
 
-    loops = g.edge_src == g.edge_dst
-    loop_deg = np.bincount(g.edge_src[loops], minlength=g.n) + g.flexible_loops
-    total = g.degree()
-    vol_all = g._total_volume
-
     nr, nc = len(radii), centers.size
     sizes = np.zeros((nr, nc), dtype=np.int64)
     phi = np.full((nr, nc), np.nan)
-    flags = np.full((nr, nc), FLAG_OK, dtype=object)
+    flags = np.empty((nr, nc), dtype=object)
     for ri, R in enumerate(radii):
         rows, ptr = g.cap_index.members(g.positions[centers], _check_radius(min(R, np.pi)))
-        for ci in range(nc):
-            members = rows[ptr[ci]:ptr[ci + 1]]
-            sizes[ri, ci] = members.size
-            if members.size == 0:
-                flags[ri, ci] = FLAG_EMPTY
-                continue
-            if members.size == g.n:
-                flags[ri, ci] = FLAG_ALL
-                continue
-            vol_s = int(total[members].sum())
-            if vol_s == 0 or vol_all - vol_s == 0:
-                flags[ri, ci] = FLAG_ZERO_VOLUME
-                continue
-            if vol_s == int(loop_deg[members].sum()):
-                flags[ri, ci] = FLAG_LOOP_ONLY
-                continue
-            # g.conductance less its id checks and volume sum, as community_check
-            phi[ri, ci] = g._cut(members, connectivity=False)[0] / min(vol_s, vol_all - vol_s)
+        sizes[ri] = np.diff(ptr)
+        flags[ri], denom = g._cap_terms(rows, ptr)
+        for ci in np.flatnonzero(flags[ri] == FLAG_OK).tolist():
+            phi[ri, ci] = g._cut(rows[ptr[ci]:ptr[ci + 1]], connectivity=False)[0] / denom[ci]
 
     with np.errstate(all="ignore"):
         min_phi = np.array([np.nanmin(row) if np.isfinite(row).any() else np.nan
