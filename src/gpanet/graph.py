@@ -251,20 +251,25 @@ class EvolvingGraph:
 
         self.edge_src = _integer_ids(edge_src)
         self.edge_dst = _integer_ids(edge_dst)
-        self.edge_kind = np.asarray(edge_kind, dtype=np.int8)
-        if not (self.edge_src.shape == self.edge_dst.shape == self.edge_kind.shape):
+        # kinds are checked before the int8 cast, which would wrap 257 to 1;
+        # generate's are int8 already, and an int64 copy of them would cost
+        kind = np.asarray(edge_kind)
+        if kind.dtype != np.int8:
+            kind = _integer_ids(kind, "edge kinds")
+        if not (self.edge_src.shape == self.edge_dst.shape == kind.shape):
             raise ValueError("edge arrays must have equal length")
         if self.edge_src.size:
             lo = min(self.edge_src.min(), self.edge_dst.min())
             hi = max(self.edge_src.max(), self.edge_dst.max())
             if lo < 0 or hi >= n:
                 raise ValueError("edge endpoint out of range")
-            if self.edge_kind.min() < EdgeKind.PLAIN or self.edge_kind.max() > EdgeKind.FLEXIBLE:
+            if kind.min() < EdgeKind.PLAIN or kind.max() > EdgeKind.FLEXIBLE:
                 raise ValueError("unknown edge kind")
+        self.edge_kind = kind.astype(np.int8, copy=False)
 
         if flexible_loops is None:
             flexible_loops = np.zeros(n, dtype=np.int64)
-        self.flexible_loops = np.asarray(flexible_loops, dtype=np.int64)
+        self.flexible_loops = _integer_ids(flexible_loops, "flexible_loops")
         if self.flexible_loops.shape != (n,) or (self.flexible_loops < 0).any():
             raise ValueError("flexible_loops must be n nonnegative counts")
         if isolated_birth is None:

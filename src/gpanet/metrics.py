@@ -20,7 +20,7 @@ import numpy as np
 from .capindex import _spans
 # the FLAG_* names are importable here too, beside the scan that reports them
 from .graph import (FLAG_ALL, FLAG_EMPTY, FLAG_LOOP_ONLY, FLAG_OK, FLAG_ZERO_VOLUME, EdgeKind,
-                    EvolvingGraph, _components, _distinct, _hop_distances, _integer_ids,
+                    EvolvingGraph, _components, _distinct, _hop_distances, _integer, _integer_ids,
                     _symmetric_csr, _vertex_id, _write_csv)
 from .sphere import _check_radius, cap_area
 
@@ -92,7 +92,7 @@ def analytic_fk(k, m: int, xi: float, delta: float):
     ratios telescopes into a Gamma form, evaluated through log-Gamma.
     Scalar or array k; f_k = 0 below k = m.
     """
-    m = int(m)
+    m = _integer(m, "m")
     xi = float(xi)
     delta = float(delta)
     if m < 1:

@@ -72,7 +72,7 @@ def default_probes(k: int, seed: int = DEFAULT_PROBE_SEED) -> np.ndarray:
     k = int(_integer_ids(k, "probes"))
     if k < 0:
         raise ValueError(f"probes must be >= 0, got {k}")
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    rng = np.random.default_rng(np.random.SeedSequence(_integer(seed, "seed")))
     return sample_uniform(rng, k).reshape(k, 3)
 
 

@@ -330,6 +330,28 @@ def test_constructor_rejects_fractional_endpoints_and_misshapen_flags():
                           edge_kind=kind, isolated_birth=flags)
 
 
+def test_kinds_and_flexible_loops_must_be_integers():
+    # kinds were cast to int8 unchecked: an int64 257 wrapped to LONG, 1.7
+    # became LONG and a list [257] overflowed; flexible loops [1.7, 0, 0]
+    # read [1, 0, 0]
+    pos = np.eye(3)
+    for kind in (np.array([257]), [257], np.array([-255])):
+        with pytest.raises(ValueError, match="^unknown edge kind$"):
+            EvolvingGraph("hybrid", pos, np.array([0]), np.array([1]), kind)
+    for kind in ([1.7], np.array([np.nan]), np.array([True])):
+        with pytest.raises(ValueError, match="^edge kinds must be integers$"):
+            EvolvingGraph("hybrid", pos, np.array([0]), np.array([1]), kind)
+    g = EvolvingGraph("hybrid", pos, [0], [1], [1.0])
+    assert g.edge_kind.dtype == np.int8 and g.long_degree.tolist() == [1, 1, 0]
+    kind = np.int8([1])
+    assert EvolvingGraph("hybrid", pos, [0], [1], kind).edge_kind is kind   # no copy
+    for floops in ([1.7, 0, 0], np.array([0.0, np.inf, 0.0])):
+        with pytest.raises(ValueError, match="^flexible_loops must be integers$"):
+            EvolvingGraph("selfloop", pos, [0], [1], [2], flexible_loops=floops)
+    g = EvolvingGraph("selfloop", pos, [0], [1], [2], flexible_loops=[1.0, 0, 0])
+    assert g.flexible_loops.dtype == np.int64 and g.flexible_loops.tolist() == [1, 0, 0]
+
+
 def _multigraphs():
     """(name, src, dst, n): hand-built multigraphs with loops, parallel edges
     in both directions and isolated vertices, an edgeless graph, and the

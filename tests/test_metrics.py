@@ -198,6 +198,12 @@ class TestAnalyticFk:
         with pytest.raises(ValueError):
             analytic_fk(3, 2, 1.0, 0.0)
 
+    def test_fractional_m_rejected(self):
+        # m = 2.5 used to run as m = 2; an integral float still passes
+        for bad in (2.5, np.float64(1.5), np.nan):
+            with pytest.raises(ValueError, match="^m must be integers$"):
+                analytic_fk(5, bad, 1.0, 2.0)
+        assert analytic_fk(5, 2.0, 1.0, 2.0) == analytic_fk(5, 2, 1.0, 2.0) > 0
 
     def test_equals_scipy_gammaln_form(self):
         # k below the mode, at poles of Gamma(k + delta), and inf and nan are

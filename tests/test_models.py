@@ -106,6 +106,14 @@ class TestDefaultProbes:
         assert a.shape == (6, 3)
         np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
 
+    def test_fractional_seed_rejected(self):
+        # seed 1.5 used to give seed 1's probes
+        for bad in (1.5, np.float64(0.25), np.inf):
+            with pytest.raises(ValueError, match="^seed must be integers$"):
+                default_probes(3, bad)
+        np.testing.assert_array_equal(default_probes(3, 1.0), default_probes(3, 1))
+        assert default_probes(2, 2 ** 64 - 1).shape == (2, 3)
+
     def test_independent_of_run_seed(self):
         # probe placement must not depend on the generation seed
         g1, _ = generate(cfg(seed=1, n=5))
