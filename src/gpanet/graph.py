@@ -168,7 +168,7 @@ def _hop_distances(indptr, indices, sources) -> np.ndarray:
         nxt = np.zeros(n, dtype=bool)
         nxt[indices[_spans(indptr[frontier], indptr[frontier + 1])]] = True
         np.greater(nxt, blocked, out=nxt)   # nxt and not blocked
-        frontier = np.flatnonzero(nxt)
+        frontier = nxt.nonzero()[0]
         blocked |= nxt
         dist[frontier] = level
     return dist
@@ -207,10 +207,7 @@ def _components(indptr, indices) -> tuple[int, np.ndarray]:
     return int(np.count_nonzero(roots)), (np.cumsum(roots) - 1)[label]
 
 
-# A vertex set's conductance measures nothing if the set is, in this order,
-# empty, all of V, with a zero-volume side, or loop-only (no proper edge meets
-# it); _cap_terms flags the first that holds.  conductance raises for the
-# first three, and a loop-only set's conductance is 0.
+# EvolvingGraph._cap_terms' flags, and conductance's error for those that leave it undefined
 FLAG_OK = ""
 FLAG_EMPTY = "empty"
 FLAG_ALL = "all-vertices"
@@ -251,10 +248,8 @@ class EvolvingGraph:
 
         self.edge_src = _integer_ids(edge_src)
         self.edge_dst = _integer_ids(edge_dst)
-        # kinds are checked before the int8 cast, which would wrap 257 to 1;
-        # generate's are int8 already, and an int64 copy of them would cost
         kind = np.asarray(edge_kind)
-        if kind.dtype != np.int8:
+        if kind.dtype != np.int8:   # generate's int8 kinds need no copy to be checked
             kind = _integer_ids(kind, "edge kinds")
         if not (self.edge_src.shape == self.edge_dst.shape == kind.shape):
             raise ValueError("edge arrays must have equal length")
@@ -347,17 +342,17 @@ class EvolvingGraph:
         return self._cut(self._as_ids(S))[1]
 
     def _cap_terms(self, rows, ptr) -> tuple[np.ndarray, np.ndarray]:
-        """(flags, min(vol(S), vol(complement))) of each set S of distinct
-        vertex ids rows[ptr[i]:ptr[i + 1]].  S is loop-only if its rows hold
-        no CSR entry, as the CSR drops every loop.  One reduceat sums each
-        set's degrees and entries, so a call does no n- or E-long work."""
+        """(flags, min(vol(S), vol(complement))) of each set S of distinct vertex
+        ids rows[ptr[i]:ptr[i + 1]]: S's flag is the first that holds of empty, all
+        of V, a zero-volume side and loop-only, where its rows hold no CSR entry (the
+        CSR drops loops) and its conductance is 0 by construction.  One reduceat sums
+        the sets' degrees and entries, so a call does no n- or E-long work."""
         sizes = ptr[1:] - ptr[:-1]
         indptr = self.adjacency_csr.indptr
-        # per row: total degree and entries, then a 0 column at which an
-        # empty set may start
+        # per row: total degree and entries; the last column, 0, lets a set start at the end
         terms = np.zeros((2, rows.size + 1), dtype=np.int64)
         np.take(self.total_degree, rows, out=terms[0, :-1])
-        np.subtract(indptr[rows + 1], indptr[rows], out=terms[1, :-1])
+        np.subtract(indptr[1:][rows], indptr[rows], out=terms[1, :-1])
         # reduceat gives an empty set its first row's terms, so zero them
         vol, entries = np.add.reduceat(terms, ptr[:-1], axis=1) * (sizes > 0)
         denom = np.minimum(vol, self._total_volume - vol)
@@ -370,9 +365,8 @@ class EvolvingGraph:
         return flags, denom
 
     def _conductance(self, ids, connectivity: bool = False) -> tuple[float, bool | None]:
-        """(conductance, connected) of the distinct vertex ids, connected as
-        _cut gives it.  Where the conductance is undefined this raises
-        before the cut, so a set of all of V costs no connectivity pass."""
+        """(conductance, connected as _cut gives it) of the distinct vertex ids; an
+        undefined conductance raises before the cut, so S = V costs no connectivity pass."""
         flags, denom = self._cap_terms(ids, np.array([0, ids.size]))
         if flags[0] in _UNDEFINED:
             raise ValueError(_UNDEFINED[flags[0]])

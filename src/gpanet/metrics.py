@@ -818,14 +818,12 @@ def expander_scan(g: EvolvingGraph, v_sample, R_list) -> ExpanderScanReport:
         rows, ptr = g.cap_index.members(g.positions[centers], _check_radius(min(R, np.pi)))
         sizes[ri] = np.diff(ptr)
         flags[ri], denom = g._cap_terms(rows, ptr)
-        for ci in np.flatnonzero(flags[ri] == FLAG_OK).tolist():
+        for ci in (flags[ri] == FLAG_OK).nonzero()[0].tolist():
             phi[ri, ci] = g._cut(rows[ptr[ci]:ptr[ci + 1]], connectivity=False)[0] / denom[ci]
 
-    with np.errstate(all="ignore"):
-        min_phi = np.array([np.nanmin(row) if np.isfinite(row).any() else np.nan
-                            for row in phi])
-        median_phi = np.array([_median(row[np.isfinite(row)]) if np.isfinite(row).any()
-                               else np.nan for row in phi])
+    measured = [row[flag == FLAG_OK] for row, flag in zip(phi, flags)]
+    min_phi = np.array([row.min() if row.size else np.nan for row in measured])
+    median_phi = np.array([_median(row) if row.size else np.nan for row in measured])
     return ExpanderScanReport(radii=radii, centers=centers, sizes=sizes,
                               conductance=phi, flags=flags,
                               min_phi=min_phi, median_phi=median_phi)
