@@ -60,8 +60,9 @@ def _integer_ids(a, what: str = "vertex ids") -> np.ndarray:
 
 def _integer(v, what: str) -> int:
     """v as a Python int by _integer_ids' rule; a Python int passes as is,
-    since it may exceed int64 (a seed may be up to 2**64 - 1)."""
-    if not isinstance(v, int):
+    since it may exceed int64 (a seed may be up to 2**64 - 1), but a bool
+    raises, as a numpy bool does."""
+    if isinstance(v, bool) or not isinstance(v, int):
         _integer_ids(v, what)
     return int(v)
 

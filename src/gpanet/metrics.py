@@ -394,6 +394,8 @@ dijkstra = None
 # lanes of each 64-source pass chosen by degree; the rest go by open neighbours
 _DEGREE_LANES = 48
 _CLOSE_CHUNK = 1 << 16
+_GROUP_DEGREE = 16
+_TOP_DOWN = 16
 
 
 def _diameter_bfs_all(csr, labels) -> np.ndarray:
@@ -401,13 +403,12 @@ def _diameter_bfs_all(csr, labels) -> np.ndarray:
 
     A double sweep in all components at once gives each a realised lower
     bound lb and upper bounds ecc(w) <= ecc(v) + d(v, w) from a sweep end
-    and a path midpoint v.  Bit-parallel BFS then runs 64 sources per pass
-    (one bit per source lane, so a level is one gather + or-reduce over the
-    edge array), and its eccentricities lower the bounds further (Takes &
-    Kosters, CIKM 2011).  A vertex is open while its bound exceeds its
-    component's top, max(lb, largest eccentricity BFS found); a component
-    is done once none of its vertices is open.  Each pass fills two kinds
-    of lane:
+    and a path midpoint v.  Bit-parallel BFS then runs 64 sources per pass,
+    one bit per source lane (Then et al., VLDB 2014), and its eccentricities
+    lower the bounds further (Takes & Kosters, CIKM 2011).  A vertex is open
+    while its bound exceeds its component's top, max(lb, largest
+    eccentricity BFS found); a component is done once none of its vertices
+    is open.  Each pass fills two kinds of lane:
 
     - _DEGREE_LANES by decreasing degree among the vertices whose bound
       exceeds the largest eccentricity found in their component, in open
@@ -420,11 +421,16 @@ def _diameter_bfs_all(csr, labels) -> np.ndarray:
 
     Any choice of sources leaves the result exact; the choice only moves
     how many passes run.
+
+    A level or-reduces the frontier over each row (_bottom_up), except a
+    pass's first, which scatters the sources' rows top-down (Beamer et al.,
+    SC 2012) when they hold under 1/_TOP_DOWN of the entries.  In one
+    component a pass ends once every lane has reached every vertex.
     """
     # relabel by decreasing degree: sources are then a prefix scan, the hubs'
-    # rows sit together, and empty rows come last, where or-reduce reads the
-    # zero sentinel after the gathered edges instead of the next row's first;
-    # ascending ids within each row keep the gathers of every level local
+    # rows sit together, and the short rows form a suffix of runs of equal
+    # degree, empty rows last; ascending ids within each row keep the gathers
+    # of every level local
     order, indptr, indices = _relabel_by_degree(csr)
     labels = labels[order]
     size = np.bincount(labels)
@@ -451,12 +457,25 @@ def _diameter_bfs_all(csr, labels) -> np.ndarray:
     d_mid = _hop_distances(indptr, indices, mid)
     bound = np.minimum(d_a + lb[labels], d_mid + d_mid[farthest(d_mid)][labels])
 
+    # rows of degree <= _GROUP_DEGREE are a suffix: runs (s, o, c, d) of c
+    # rows of degree d from row s, empty rows last, with their entries
+    # column-major in cols from offset o
+    deg = np.diff(indptr)
+    hubs = int(np.count_nonzero(deg > _GROUP_DEGREE))
+    short = indices[indptr[hubs]:]
+    cols = np.empty_like(short)
+    runs, s, o = [], hubs, 0
+    for d, c in reversed(list(enumerate(np.bincount(deg[hubs:]).tolist()))):
+        if c:
+            runs.append((s, o, c, d))
+            cols[o:o + c * d].reshape(d, c)[...] = short[o:o + c * d].reshape(c, d).T
+        s, o = s + c, o + c * d
+    gathered = np.empty(indices.size, dtype=np.uint64)
     best = np.zeros_like(lb)
-    gathered = np.zeros(indices.size + 1, dtype=np.uint64)
     # tally[v]: open vertices among v and its neighbours.  Bounds only fall
     # and tops only rise, so a vertex never reopens, and keeping the tally
     # costs one pass over each row over the whole run
-    tally = np.diff(indptr).astype(np.int32) + 1
+    tally = deg.astype(np.int32) + 1
     is_open = np.ones(labels.size, dtype=bool)
     ran = np.zeros(labels.size, dtype=bool)
     while True:
@@ -473,15 +492,17 @@ def _diameter_bfs_all(csr, labels) -> np.ndarray:
         src = np.concatenate([src, _largest(score, 64 - _DEGREE_LANES)])
         ran[src] = True
         lanes = np.uint64(1) << np.arange(src.size, dtype=np.uint64)
+        full = np.bitwise_or.reduce(lanes)
         visited = np.zeros(labels.size, dtype=np.uint64)
         visited[src] = lanes
-        frontier = visited.copy()
+        top_down = _TOP_DOWN * int(deg[src].sum()) < indices.size
         ecc = np.zeros(src.size, dtype=np.int64)
-        level = 0
-        while True:
-            np.take(frontier, indices, out=gathered[:-1], mode="clip")
-            nxt = np.bitwise_or.reduceat(gathered, indptr[:-1])
-            nxt &= ~visited
+        frontier, level = visited, 0
+        while not (lb.size == 1 and np.bitwise_and.reduce(visited) == full):
+            if top_down and not level:
+                nxt = _top_down(indptr, indices, src, lanes, visited)
+            else:
+                nxt = _bottom_up(frontier, visited, indices, indptr[:hubs], runs, cols, gathered)
             reached = np.bitwise_or.reduce(nxt)
             if not reached:
                 break
@@ -491,6 +512,32 @@ def _diameter_bfs_all(csr, labels) -> np.ndarray:
             frontier = nxt
         np.maximum.at(best, labels[src], ecc)
         _lower_ecc_bounds(indptr, indices, bound, src, ecc)
+
+
+def _top_down(indptr, indices, src, lanes, visited) -> np.ndarray:
+    """The first level: each vertex's lanes of the sources src it neighbours,
+    none of them visited, since the CSR has no self-loops."""
+    nxt = np.zeros_like(visited)
+    deg = indptr[src + 1] - indptr[src]
+    np.bitwise_or.at(nxt, indices[_spans(indptr[src], indptr[src + 1])], lanes.repeat(deg))
+    return nxt
+
+
+def _bottom_up(frontier, visited, indices, starts, runs, cols, gathered) -> np.ndarray:
+    """Each row's OR of frontier over its entries, less its visited lanes:
+    by reduceat over the hubs, the first starts.size rows, and down the d
+    rows of c words of each run's column-major entries, where reduceat is slow."""
+    nxt = np.empty_like(frontier)
+    head = indices.size - cols.size
+    if starts.size:
+        np.take(frontier, indices[:head], out=gathered[:head], mode="clip")
+        np.bitwise_or.reduceat(gathered[:head], starts, out=nxt[:starts.size])
+    short = gathered[head:]
+    np.take(frontier, cols, out=short, mode="clip")
+    for s, o, c, d in runs:
+        np.bitwise_or.reduce(short[o:o + c * d].reshape(d, c), axis=0, out=nxt[s:s + c])
+    nxt &= ~visited
+    return nxt
 
 
 def _close_rows(tally, indptr, indices, v) -> None:

@@ -292,6 +292,17 @@ class TestFractionalIntegers:
         with pytest.raises(ValueError, match=f"^{field.replace('_', ' ')} must be integers$"):
             tiny_config(**{field: value})
 
+    @pytest.mark.parametrize("field", ["n", "m", "seed", "delta"])
+    def test_bools_rejected(self, field):
+        # a Python bool used to pass as 0 or 1, where a numpy bool raised
+        for value in (True, np.True_):
+            with pytest.raises(ValueError, match=f"^{field} must be integers$"):
+                tiny_config(**{field: value})
+
+    def test_bool_model_config(self):
+        with pytest.raises(ValueError, match="^n must be integers$"):
+            ModelConfig(model="base", n=True, m=True, xi=1.0, r=0.3, seed=True)
+
     def test_integral_floats_pass(self):
         cfg = tiny_config(n=1e4, m=2.0, seed=3.0, delta=2.0, checkpoint_times=(10.0, 1e4))
         assert (cfg.n, cfg.m, cfg.seed, cfg.delta) == (10000, 2, 3, 2)
@@ -312,6 +323,8 @@ class TestFractionalIntegers:
             ExperimentSpec.from_master(tiny_config(), 42.7, 2, ("degrees",), "o")
         with pytest.raises(ValueError, match="^trials must be integers$"):
             ExperimentSpec.from_master(tiny_config(), 42, 2.5, ("degrees",), "o")
+        with pytest.raises(ValueError, match="^seeds must be integers$"):
+            ExperimentSpec(tiny_config(), (True,), ("degrees",), "o")
         # integral floats pass, and every 64-bit seed stays a seed
         spec = ExperimentSpec(tiny_config(), (5.0, 2 ** 64 - 1, np.uint64(2 ** 63)),
                               ("degrees",), "o")

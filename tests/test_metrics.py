@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -83,6 +84,69 @@ def adj_lists(g):
             adj[int(s)].append(int(d))
             adj[int(d)].append(int(s))
     return adj
+
+
+def stars_paths_cycles():
+    """25 stars, 25 paths and 25 cycles of random sizes, ids shuffled."""
+    rng = np.random.default_rng(5)
+    src, dst, n = [], [], 0
+    for k in rng.integers(1, 40, size=25):        # stars with k leaves
+        src += [n] * k
+        dst += range(n + 1, n + 1 + k)
+        n += k + 1
+    for k in rng.integers(2, 60, size=25):        # paths of k vertices
+        src += range(n, n + k - 1)
+        dst += range(n + 1, n + k)
+        n += k
+    for k in rng.integers(3, 90, size=25):        # cycles of k vertices
+        src += range(n, n + k)
+        dst += [n + (i + 1) % k for i in range(k)]
+        n += k
+    perm = rng.permutation(n)
+    return make_graph(perm[src], perm[dst], n=n)
+
+
+@functools.cache
+def round_path_cases():
+    """(graph, component diameters by the oracle) for TestDiameter's graphs:
+    paths, a star, a star between zero-degree vertices and a loop, cycles,
+    random connected graphs, multigraphs with loops, the stars, paths and
+    cycles, and generated graphs of every model, connected or not."""
+    graphs = [make_graph(np.arange(n - 1), np.arange(1, n), n=n) for n in (1, 2, 3, 40)]
+    graphs.append(make_graph(np.zeros(39, dtype=np.int64), np.arange(1, 40), n=40))
+    graphs.append(make_graph([0] * 6 + [8], [1, 2, 4, 5, 6, 7, 8], n=10))
+    graphs += [make_graph(np.arange(n), (np.arange(n) + 1) % n, n=n) for n in (200, 301)]
+    rng = np.random.default_rng(77)
+    for trial in range(20):
+        graphs.append(rand_connected(int(rng.integers(2, 100)), int(rng.integers(0, 40)), trial))
+    for trial in range(20):
+        n = int(rng.integers(2, 80))
+        ids = rng.choice(n - 1, size=int(rng.integers(1, n)), replace=False)
+        e = int(rng.integers(0, 2 * n))
+        graphs.append(make_graph(rng.choice(ids, e), rng.choice(ids, e), n=n, seed=trial))
+    graphs.append(stars_paths_cycles())
+    graphs += [generate(ModelConfig(model=model, n=1500, m=2, xi=1.0, r=r, seed=5))[0]
+               for model in ("base", "hybrid", "selfloop") for r in (0.3, 0.02)]
+    return [(g, component_diameters_scan(g.adjacency_csr)) for g in graphs]
+
+
+def count_round_steps(monkeypatch):
+    """Count the calls of metrics._top_down and metrics._bottom_up, each of
+    which must return only lanes its visited argument does not hold."""
+    calls = {"_top_down": 0, "_bottom_up": 0}
+
+    def wrap(name, step):
+        def counted(*args):
+            calls[name] += 1
+            nxt = step(*args)
+            visited = args[4] if name == "_top_down" else args[1]
+            assert not (nxt & visited).any()
+            return nxt
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(metrics, name, wrap(name, getattr(metrics, name)))
+    return calls
 
 
 def rand_connected(n, extra, seed):
@@ -199,8 +263,9 @@ class TestAnalyticFk:
             analytic_fk(3, 2, 1.0, 0.0)
 
     def test_fractional_m_rejected(self):
-        # m = 2.5 used to run as m = 2; an integral float still passes
-        for bad in (2.5, np.float64(1.5), np.nan):
+        # m = 2.5 used to run as m = 2, and m = True as m = 1; an integral
+        # float still passes
+        for bad in (2.5, np.float64(1.5), np.nan, True, np.True_):
             with pytest.raises(ValueError, match="^m must be integers$"):
                 analytic_fk(5, bad, 1.0, 2.0)
         assert analytic_fk(5, 2.0, 1.0, 2.0) == analytic_fk(5, 2, 1.0, 2.0) > 0
@@ -481,6 +546,34 @@ class TestDiameter:
             diameter(g)
             assert len(passes) == want
 
+    def test_bfs_all_round_counts(self, monkeypatch):
+        # rounds, unlike passes, never move the result.  On the benchmark's
+        # experiment-diameter graph the 12 passes ran 103 bottom-up rounds
+        # before each first level was scattered top-down and a pass stopped
+        # once every lane had reached every vertex
+        calls = count_round_steps(monkeypatch)
+        g, _ = generate(ModelConfig(model="hybrid", n=10_500, m=2, xi=1.0, r=0.3, seed=1))
+        assert diameter(g).diameter == 8
+        assert calls == {"_top_down": 12, "_bottom_up": 79}
+
+    @pytest.mark.parametrize("top_down", [0, 16, math.inf])
+    @pytest.mark.parametrize("group", [0, 16, 1 << 20])
+    def test_round_paths_match_oracle(self, monkeypatch, group, top_down):
+        # _GROUP_DEGREE 0 reduces every nonempty row with reduceat, 1 << 20
+        # every row down a column-major run; _TOP_DOWN 0 scatters every
+        # pass's first level top-down, inf none.  Each step must return new
+        # lanes only, and both modes must match the all-pairs oracle
+        monkeypatch.setattr(metrics, "_GROUP_DEGREE", group)
+        monkeypatch.setattr(metrics, "_TOP_DOWN", top_down)
+        calls = count_round_steps(monkeypatch)
+        for g, want in round_path_cases():
+            rep = diameter(g, "component-wise")
+            assert rep.component_diameters == want
+            if len(want) == 1:
+                assert diameter(g).diameter == want[0]
+        assert calls["_bottom_up"] > 0
+        assert (calls["_top_down"] > 0) == (top_down != math.inf)
+
     def test_bfs_all_sources_across_components(self, monkeypatch):
         # the open-neighbour lanes rank the vertices of every open component
         # together, so one pass holds sources from several.  One graph is a
@@ -488,22 +581,7 @@ class TestDiameter:
         # where every eccentricity equals the diameter; its shuffled ids
         # interleave the components in degree order.  The base graphs at
         # r=0.02 are thousands of components, dozens of them open
-        rng = np.random.default_rng(5)
-        src, dst, n = [], [], 0
-        for k in rng.integers(1, 40, size=25):        # stars with k leaves
-            src += [n] * k
-            dst += range(n + 1, n + 1 + k)
-            n += k + 1
-        for k in rng.integers(2, 60, size=25):        # paths of k vertices
-            src += range(n, n + k - 1)
-            dst += range(n + 1, n + k)
-            n += k
-        for k in rng.integers(3, 90, size=25):        # cycles of k vertices
-            src += range(n, n + k)
-            dst += [n + (i + 1) % k for i in range(k)]
-            n += k
-        perm = rng.permutation(n)
-        graphs = [make_graph(perm[src], perm[dst], n=n)]
+        graphs = [stars_paths_cycles()]
         graphs += [generate(ModelConfig(model="base", n=6000, m=3, xi=1.0, r=0.02, seed=s))[0]
                    for s in (1, 2)]
 

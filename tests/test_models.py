@@ -107,8 +107,8 @@ class TestDefaultProbes:
         np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
 
     def test_fractional_seed_rejected(self):
-        # seed 1.5 used to give seed 1's probes
-        for bad in (1.5, np.float64(0.25), np.inf):
+        # seed 1.5 used to give seed 1's probes, and so did seed True
+        for bad in (1.5, np.float64(0.25), np.inf, True, np.True_):
             with pytest.raises(ValueError, match="^seed must be integers$"):
                 default_probes(3, bad)
         np.testing.assert_array_equal(default_probes(3, 1.0), default_probes(3, 1))
